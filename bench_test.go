@@ -150,6 +150,8 @@ func BenchmarkDijkstraN400(b *testing.B) {
 }
 
 func BenchmarkFacilityLocalSearchN40(b *testing.B)  { benchFacility(b, facility.LocalSearch, 40) }
+func BenchmarkFacilityLocalSearchN120(b *testing.B) { benchFacility(b, facility.LocalSearch, 120) }
+func BenchmarkFacilityLocalSearchN400(b *testing.B) { benchFacility(b, facility.LocalSearch, 400) }
 func BenchmarkFacilityJainVaziraniN40(b *testing.B) { benchFacility(b, facility.JainVazirani, 40) }
 func BenchmarkFacilityMettuPlaxtonN40(b *testing.B) { benchFacility(b, facility.MettuPlaxton, 40) }
 

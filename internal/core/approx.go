@@ -17,8 +17,9 @@ type Options struct {
 	// FL is the facility-location solver used in phase 1. Nil auto-selects:
 	// local search (the combinatorial 5-approximation of Korupolu et al.)
 	// up to DenseMetricMaxNodes nodes, and the ball-scanning Mettu–Plaxton
-	// 3-approximation beyond it (local search is Θ(n²) per sweep and does
-	// not survive large networks).
+	// 3-approximation beyond it. Local search reads all n distance rows on
+	// every sweep and prices a sweep's swaps in O(k·n²) for k open
+	// facilities, which does not survive large networks.
 	FL facility.Solver
 	// Phase2Factor is the storage-radius multiple beyond which a node
 	// demands its own copy; the paper uses 5. Zero selects 5.

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -139,15 +140,69 @@ func NewInstance(g *graph.Graph, storage []float64, objects []Object) (*Instance
 	if !g.Connected() {
 		return nil, fmt.Errorf("core: network must be connected")
 	}
+	if err := checkFees(g, storage, objects); err != nil {
+		return nil, err
+	}
 	return &Instance{G: g, Storage: storage, Objects: objects}, nil
+}
+
+// ErrFeeOverflow reports fees and request counts so large that the cost of
+// a placement can overflow float64. Every cost then compares as +Inf, so
+// no placement is better than another.
+var ErrFeeOverflow = errors.New("core: fees overflow float64")
+
+// checkFees returns an ErrFeeOverflow error unless the edge-fee sum is
+// finite and, for every object, so is storage sum + edge-fee sum × (reads
+// + writes): an upper bound on the cost of serving the object from any
+// one node, which keeps phase 1's starting facility well defined.
+func checkFees(g *graph.Graph, storage []float64, objects []Object) error {
+	edges, stored := g.TotalWeight(), 0.0
+	for _, s := range storage {
+		stored += s
+	}
+	if math.IsInf(edges, 0) {
+		return fmt.Errorf("%w: edge fees sum to %v", ErrFeeOverflow, edges)
+	}
+	for i := range objects {
+		o := &objects[i]
+		requests := 0.0 // summed in float64: an int64 sum can wrap
+		for v := range o.Reads {
+			requests += float64(o.Reads[v]) + float64(o.Writes[v])
+		}
+		if err := feeBound(edges, stored, requests); err != nil {
+			return fmt.Errorf("object %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// feeBound is checkFees' per-object test.
+func feeBound(edges, stored, requests float64) error {
+	if bound := stored + edges*requests; math.IsInf(bound, 0) {
+		return fmt.Errorf("%w: storage sum %g + edge-fee sum %g × %g requests", ErrFeeOverflow, stored, edges, requests)
+	}
+	return nil
+}
+
+// CheckRequests applies NewInstance's per-object fee bound to an object
+// with the given number of requests (reads plus writes) on this
+// instance's network. Callers whose demand arrives later, such as a
+// streaming session's quantised estimates, check their largest total up
+// front.
+func (in *Instance) CheckRequests(requests float64) error {
+	stored := 0.0
+	for _, s := range in.Storage {
+		stored += s
+	}
+	return feeBound(in.G.TotalWeight(), stored, requests)
 }
 
 // WithObjects returns a variant of the instance carrying the given objects
 // while sharing the network, storage fees, and — crucially — the
 // already-built metric oracle, whose warmed caches make re-solving a
-// changed object nearly free. Objects are validated like NewInstance's
-// (the shared network needs no re-validation). It is the substrate of the
-// service's incremental what-if path.
+// changed object nearly free. Objects are validated like NewInstance's,
+// fee bound included (the shared network needs no re-validation). It is
+// the substrate of the service's incremental what-if path.
 func (in *Instance) WithObjects(objects []Object) (*Instance, error) {
 	for i := range objects {
 		o := &objects[i]
@@ -165,6 +220,9 @@ func (in *Instance) WithObjects(objects []Object) (*Instance, error) {
 				return nil, fmt.Errorf("core: object %d has negative frequency at node %d", i, v)
 			}
 		}
+	}
+	if err := checkFees(in.G, in.Storage, objects); err != nil {
+		return nil, err
 	}
 	out := &Instance{G: in.G, Storage: in.Storage, Objects: objects}
 	out.SetMetric(in.Metric())

@@ -11,11 +11,13 @@
 //
 // plus an exact brute-force solver for evaluation on small instances.
 //
-// Distances come from a pluggable metric.Oracle. Local search, Jain–Vazirani
-// and the greedy are inherently Θ(n²)-query algorithms and belong on small
-// instances (dense backend); Mettu–Plaxton is written against nearest-first
-// ball scans and runs on large sparse networks with a lazy backend without
-// ever touching a full matrix.
+// Distances come from a pluggable metric.Oracle. Jain–Vazirani and the
+// greedy are inherently Θ(n²)-query algorithms. Local search prices each
+// move in O(n) from every client's nearest and second-nearest open
+// facility, but still reads all n rows on every sweep. All three belong on
+// small instances (dense backend); Mettu–Plaxton is written against
+// nearest-first ball scans and runs on large sparse networks with a lazy
+// backend without ever touching a full matrix.
 package facility
 
 import (
@@ -50,6 +52,7 @@ type Instance struct {
 	mpR     []float64 // Mettu–Plaxton radii
 	mpOrder []int     // Mettu–Plaxton scan order
 	mpOpen  []bool    // Mettu–Plaxton open-facility flags
+	ls      lsState   // local-search move-pricing state
 
 	// Pre-bound scan callbacks with their state structs: a closure passed
 	// through the metric.Oracle interface escapes, so building one per
@@ -202,55 +205,61 @@ func BruteForce(in *Instance) []int {
 // facility, accepting a move only if it improves the objective by more than
 // a (1 + eps/n) factor so termination is polynomial. With eps -> 0 the
 // solution is a (5)-approximation (Korupolu et al.); we use eps = 1e-6.
-// Inherently Θ(n²) distance queries per sweep: a small-instance solver.
+//
+// Moves are priced incrementally with the fast-interchange bookkeeping of
+// Resende and Werneck: for the current open set S every client keeps its
+// nearest and second-nearest open distance, so the cost of S+u, S−v or
+// S−v+u is one O(n) pass over the candidate's row instead of a fold over
+// |S|+1 rows. A sweep therefore prices n adds, |S| drops and |S|·n swaps
+// in O(|S|·n²) time, and the bookkeeping is rebuilt from S's rows only
+// after an accepted move. Each price is the float Cost returns for the
+// same set, so every accept/reject decision is Cost's. Every sweep still
+// reads all n rows: a small-instance (dense backend) solver.
+//
+// If every single facility costs +Inf (fees overflowing float64), the
+// search starts from facility 0 and keeps it.
 func LocalSearch(in *Instance) []int {
 	n := in.N()
 	if n == 0 {
 		return nil
 	}
-	open := make([]bool, n)
-	// Start: best single facility.
-	best, bestCost := -1, math.Inf(1)
+	ls := &in.ls
+	ls.reset(n)
+	// Start: best single facility, priced as an add to the empty set.
+	best, bestCost := 0, math.Inf(1)
+	base := ls.openCost(in.Open, -1)
 	for v := 0; v < n; v++ {
-		if c := in.Cost([]int{v}); c < bestCost {
+		if c := price(in.Demand, base+in.Open[v], ls.d1, in.Metric.Row(v)); c < bestCost {
 			best, bestCost = v, c
 		}
 	}
-	open[best] = true
+	ls.insert(best)
 	cur := bestCost
 	const eps = 1e-6
-	improves := func(c float64) bool { return c < cur*(1-eps/float64(n)) }
-
-	openSet := func() []int {
-		var s []int
-		for v := 0; v < n; v++ {
-			if open[v] {
-				s = append(s, v)
-			}
-		}
-		return s
-	}
 
 	for iter := 0; iter < 10000; iter++ {
+		ls.refresh(in.Metric)
+		limit := cur * (1 - eps/float64(n))
 		improved := false
-		s := openSet()
 		// Add moves.
-		for v := 0; v < n && !improved; v++ {
-			if open[v] {
+		base := ls.openCost(in.Open, -1)
+		for u := 0; u < n; u++ {
+			if ls.open[u] {
 				continue
 			}
-			if c := in.Cost(append(s, v)); improves(c) {
-				open[v] = true
+			if c := price(in.Demand, base+in.Open[u], ls.d1, in.Metric.Row(u)); c < limit {
+				ls.insert(u)
 				cur = c
 				improved = true
+				break
 			}
 		}
 		// Drop moves.
-		if !improved && len(s) > 1 {
-			for _, v := range s {
-				t := without(s, v)
-				if c := in.Cost(t); improves(c) {
-					open[v] = false
+		if !improved && len(ls.set) > 1 {
+			for _, v := range ls.set {
+				field := ls.dropField(v)
+				if c := price(in.Demand, ls.openCost(in.Open, v), field, field); c < limit {
+					ls.remove(v)
 					cur = c
 					improved = true
 					break
@@ -259,22 +268,21 @@ func LocalSearch(in *Instance) []int {
 		}
 		// Swap moves.
 		if !improved {
-			for _, v := range s {
+		swaps:
+			for _, v := range ls.set {
+				field := ls.dropField(v)
+				base := ls.openCost(in.Open, v)
 				for u := 0; u < n; u++ {
-					if open[u] {
+					if ls.open[u] {
 						continue
 					}
-					t := append(without(s, v), u)
-					if c := in.Cost(t); improves(c) {
-						open[v] = false
-						open[u] = true
+					if c := price(in.Demand, base+in.Open[u], field, in.Metric.Row(u)); c < limit {
+						ls.remove(v)
+						ls.insert(u)
 						cur = c
 						improved = true
-						break
+						break swaps
 					}
-				}
-				if improved {
-					break
 				}
 			}
 		}
@@ -282,17 +290,120 @@ func LocalSearch(in *Instance) []int {
 			break
 		}
 	}
-	return openSet()
+	return append([]int(nil), ls.set...)
 }
 
-func without(s []int, v int) []int {
-	t := make([]int, 0, len(s))
-	for _, x := range s {
-		if x != v {
-			t = append(t, x)
+// lsState is LocalSearch's bookkeeping for the current open set: for
+// every client j, d1[j] is the distance to its nearest open facility
+// near[j] and d2[j] the distance to the nearest other one (+Inf while one
+// facility is open). field is scratch for one facility's drop.
+type lsState struct {
+	d1, d2 []float64
+	near   []int
+	field  []float64
+	open   []bool
+	set    []int // open facilities, ascending
+}
+
+// reset sizes the state for n nodes with no facility open: d1 is +Inf
+// everywhere, so an add prices the facility alone. refresh fills the rest.
+func (ls *lsState) reset(n int) {
+	if cap(ls.d1) < n {
+		ls.d1 = make([]float64, n)
+		ls.d2 = make([]float64, n)
+		ls.near = make([]int, n)
+		ls.field = make([]float64, n)
+		ls.open = make([]bool, n)
+		ls.set = make([]int, 0, n)
+	}
+	ls.d1, ls.d2, ls.near = ls.d1[:n], ls.d2[:n], ls.near[:n]
+	ls.field, ls.open, ls.set = ls.field[:n], ls.open[:n], ls.set[:0]
+	inf := math.Inf(1)
+	for j := range ls.d1 {
+		ls.d1[j], ls.open[j] = inf, false
+	}
+}
+
+// insert opens facility u, keeping set ascending.
+func (ls *lsState) insert(u int) {
+	i := sort.SearchInts(ls.set, u)
+	ls.set = append(ls.set, 0)
+	copy(ls.set[i+1:], ls.set[i:])
+	ls.set[i] = u
+	ls.open[u] = true
+}
+
+// remove closes facility v.
+func (ls *lsState) remove(v int) {
+	i := sort.SearchInts(ls.set, v)
+	ls.set = append(ls.set[:i], ls.set[i+1:]...)
+	ls.open[v] = false
+}
+
+// refresh rebuilds d1, near and d2 from the open facilities' rows.
+func (ls *lsState) refresh(o metric.Oracle) {
+	d1, d2, near := ls.d1, ls.d2, ls.near
+	inf := math.Inf(1)
+	for j := range d1 {
+		d1[j], d2[j], near[j] = inf, inf, -1
+	}
+	for _, f := range ls.set {
+		row := o.Row(f)[:len(d1)]
+		for j, d := range row {
+			if d < d1[j] {
+				d2[j], d1[j], near[j] = d1[j], d, f
+			} else if d < d2[j] {
+				d2[j] = d
+			}
 		}
 	}
-	return t
+}
+
+// dropField returns every client's nearest open distance once v closes.
+func (ls *lsState) dropField(v int) []float64 {
+	field := ls.field
+	for j, f := range ls.near {
+		if f == v {
+			field[j] = ls.d2[j]
+		} else {
+			field[j] = ls.d1[j]
+		}
+	}
+	return field
+}
+
+// openCost folds the opening costs of the open set minus skip in
+// ascending order, as Cost folds an ascending set; a price then adds the
+// candidate's cost last, as Cost does for the set with it appended.
+func (ls *lsState) openCost(open []float64, skip int) float64 {
+	c := 0.0
+	for _, f := range ls.set {
+		if f != skip {
+			c += open[f]
+		}
+	}
+	return c
+}
+
+// price returns c plus each client's demand times min(base[j], row[j]),
+// its distance to the nearest facility of a set whose distance field is
+// base, extended by the facility with row. The fold is Cost's own —
+// increasing j, zero demand skipped, the same expression shape so the
+// compiler fuses the same operations — so price and Cost agree to the
+// last bit on the same set. A drop passes its field as both arguments.
+func price(demand []int64, c float64, base, row []float64) float64 {
+	base, row = base[:len(demand)], row[:len(demand)]
+	for j, dem := range demand {
+		if dem == 0 {
+			continue
+		}
+		b := base[j]
+		if row[j] < b {
+			b = row[j]
+		}
+		c += float64(dem) * b
+	}
+	return c
 }
 
 // MettuPlaxton runs the Mettu–Plaxton radius-greedy algorithm: for every

@@ -89,3 +89,32 @@ func TestWorkspaceComputeRadiiAllocationFree(t *testing.T) {
 		t.Errorf("Workspace.ComputeRadii allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// TestDenseRadiusScansAllocationFree covers the ScanNear row fallback every
+// radius scan on a dense Space takes: its index heap is pooled, so warm
+// storage-radius and write-radius scans allocate nothing.
+func TestDenseRadiusScansAllocationFree(t *testing.T) {
+	skipUnderRace(t)
+	s := New(gen.Grid(12, 12, gen.UnitWeights).AllPairs())
+	n := s.N()
+	req := Requests{Count: make([]int64, n)}
+	cs := make([]float64, n)
+	for v := 0; v < n; v++ {
+		req.Count[v] = int64(v % 4)
+		cs[v] = float64(1 + v%6)
+	}
+	ws := NewWorkspace()
+	ws.ComputeStorageRadii(s, req, cs) // warm buffers and the heap pool
+	allocs := testing.AllocsPerRun(20, func() {
+		ws.ComputeStorageRadii(s, req, cs)
+	})
+	if allocs != 0 {
+		t.Errorf("Workspace.ComputeStorageRadii on a dense Space allocates %.1f objects per call, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		ws.WriteRadius(s, req, 40, 77)
+	})
+	if allocs != 0 {
+		t.Errorf("Workspace.WriteRadius on a dense Space allocates %.1f objects per call, want 0", allocs)
+	}
+}

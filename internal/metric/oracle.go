@@ -2,7 +2,7 @@ package metric
 
 import (
 	"math"
-	"sort"
+	"sync"
 )
 
 // Kind identifies a distance-oracle backend, letting algorithms choose
@@ -103,25 +103,65 @@ func Rows(o Oracle, us []int, workers int) [][]float64 {
 
 // ScanNear visits nodes in nondecreasing distance from v, calling
 // fn(u, d) until it returns false. It uses the oracle's native scanner when
-// available and otherwise sorts the distance row of v (ties broken toward
-// the lower node id, matching the historical dense scanner).
+// available and otherwise heap-selects from the distance row of v: nodes
+// come out ordered by (distance, node id), the order a stable sort of the
+// row gives, and a scan that stops after k nodes pays O(n + k log n)
+// instead of a full sort. The index heap is pooled, so the fallback
+// allocates nothing once warm.
 func ScanNear(o Oracle, v int, fn func(u int, d float64) bool) {
 	if sc, ok := o.(NearScanner); ok {
 		sc.ScanNear(v, fn)
 		return
 	}
 	row := o.Row(v)
-	n := o.N()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	hp := scanHeaps.Get().(*[]int32)
+	h := (*hp)[:0]
+	for u := range row {
+		h = append(h, int32(u))
 	}
-	sort.SliceStable(order, func(a, b int) bool { return row[order[a]] < row[order[b]] })
-	for _, u := range order {
-		if !fn(u, row[u]) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, row, i)
+	}
+	for len(h) > 0 {
+		u := h[0]
+		if !fn(int(u), row[u]) {
+			break
+		}
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h, row, 0)
+	}
+	*hp = h
+	scanHeaps.Put(hp)
+}
+
+// scanHeaps pools ScanNear's row-fallback index heaps.
+var scanHeaps = sync.Pool{New: func() any { return new([]int32) }}
+
+// siftDown restores the min-heap order of h below position i, keyed by
+// (row distance, node id).
+func siftDown(h []int32, row []float64, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
 			return
 		}
+		if r := m + 1; r < len(h) && nearer(row, h[r], h[m]) {
+			m = r
+		}
+		if !nearer(row, h[m], h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
+}
+
+// nearer orders nodes by distance, ties toward the lower id.
+func nearer(row []float64, a, b int32) bool {
+	da, db := row[a], row[b]
+	return da < db || (da == db && a < b)
 }
 
 // NearestOf returns, for every node, the distance to the nearest member of

@@ -329,6 +329,13 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg.SolveGate = s.sessionGate(sess)
 	sess.engine = stream.New(in, cfg)
+	// Each epoch quantises an object's estimated rates, which sum to at
+	// most one per event, into at most Horizon requests plus one per node
+	// from rounding; the re-solves must pass the uploads' fee bound.
+	if err := in.CheckRequests(float64(sess.engine.Config().Horizon) + float64(in.N())); err != nil {
+		writeError(w, err)
+		return
+	}
 	if err := s.sessions.add(sess, s.cfg.MaxSessions); err != nil {
 		writeError(w, err)
 		return

@@ -379,7 +379,8 @@ func (e *Engine) closeEpoch() *EpochReport {
 	scen, err := e.in.WithObjects(e.estObjects)
 	if err != nil {
 		// Quantised estimates are structurally valid by construction
-		// (non-negative, right length); a failure here is a bug.
+		// (non-negative, right length), and callers bound their fees
+		// with Instance.CheckRequests; a failure here is a bug.
 		panic(fmt.Sprintf("stream: estimate instance rejected: %v", err))
 	}
 	o := e.oracle

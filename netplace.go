@@ -60,7 +60,8 @@ type (
 
 // NewInstance assembles and validates an instance from a connected network
 // graph (see the graph sub-API via Builder functions), per-node storage
-// fees, and per-object request frequencies.
+// fees, and per-object request frequencies. Fees large enough to overflow
+// a placement's cost are refused with an error.
 var NewInstance = core.NewInstance
 
 // MetricBackend selects the distance-oracle backend behind an instance's
