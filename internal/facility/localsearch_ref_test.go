@@ -262,34 +262,36 @@ func TestLocalSearchMatchesReference(t *testing.T) {
 
 // TestLocalSearchMatchesReferenceLarge covers 120 to 400 nodes, where the
 // incremental kernel's speed-up is largest, on the dense backend the
-// solve pipeline uses there. It takes netbench plan_small's families and
-// the complete graph at 120 nodes and, beyond, the families whose open
-// sets stay small, as on plan-shaped instances: where 70 or more
-// facilities open (a 400-node grid), one reference solve takes 15 s.
+// solve pipeline uses there: every family at about 120 nodes, then the
+// families whose open sets stay small, as on plan-shaped instances. Where
+// 70 or more facilities open (a 400-node grid), one reference solve takes
+// 15 s; the 448-node butterfly that the 120-node draw yields takes 25 s.
 func TestLocalSearchMatchesReferenceLarge(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("reference solves beyond 120 nodes take seconds")
+		t.Skip("reference solves beyond 64 nodes take seconds")
 	}
-	for _, c := range []struct {
-		n        int
-		families []string
-	}{
-		{120, []string{"grid", "clustered", "geometric", "er", "complete"}},
-		{256, []string{"clustered", "geometric", "complete"}},
-		{400, []string{"clustered", "geometric", "complete"}},
-	} {
-		rng := rand.New(rand.NewSource(int64(c.n)))
-		for _, fam := range c.families {
-			g, err := gen.Build(fam, c.n, rng)
+	check := func(fam named[*graph.Graph], rng *rand.Rand) {
+		dense := metric.New(fam.v.AllPairs())
+		for _, variant := range refDemands(rng, fam.v.N())[:2] { // mixed, ties
+			in := variant.v
+			in.Metric = dense
+			checkSameAsRef(t, fmt.Sprintf("n=%d %s %s", fam.v.N(), fam.name, variant.name), in)
+		}
+	}
+	rng := rand.New(rand.NewSource(120))
+	for _, fam := range refFamilies(rng, 120) {
+		if fam.v.N() <= 240 {
+			check(fam, rng)
+		}
+	}
+	for _, n := range []int{256, 400} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		for _, name := range []string{"clustered", "geometric", "complete"} {
+			g, err := gen.Build(name, n, rng)
 			if err != nil || !g.Connected() {
-				t.Fatalf("%s %d: %v", fam, c.n, err)
+				t.Fatalf("%s %d: %v", name, n, err)
 			}
-			dense := metric.New(g.AllPairs())
-			for _, variant := range refDemands(rng, g.N())[:2] { // mixed, ties
-				in := variant.v
-				in.Metric = dense
-				checkSameAsRef(t, fmt.Sprintf("n=%d %s %s", g.N(), fam, variant.name), in)
-			}
+			check(named[*graph.Graph]{name, g}, rng)
 		}
 	}
 }
