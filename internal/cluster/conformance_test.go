@@ -94,9 +94,10 @@ func clusterSizes(t *testing.T) []int {
 
 // clusterFingerprint is everything the byte-identity property covers,
 // assembled purely from wire responses: the per-epoch cost reports in
-// arrival order, the final placement (session id blanked — it embeds a
-// replica URL), the session's own accounting, the ingest high-water
-// mark, and the /statz session counters summed across the cluster.
+// arrival order, the final placement with its session id (the single
+// node and the cluster owner both mint "<instance id>.s-000001"), the
+// session's own accounting, the ingest high-water mark, and the /statz
+// session counters summed across the cluster.
 type clusterFingerprint struct {
 	Epochs    []service.SessionEpochJSON       `json:"epochs"`
 	Placement service.SessionPlacementResponse `json:"placement"`
@@ -210,7 +211,6 @@ func runClusterTrace(t *testing.T, n int, backend string, kills bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.SessionID = ""
 	fp.Placement = pl
 
 	info, err := sc.Session(ctx, sess.SessionID)

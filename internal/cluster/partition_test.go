@@ -83,7 +83,7 @@ type partitionFingerprint struct {
 	Counters clusterSessionCounters        `json:"counters"`
 }
 
-// partSession tracks one label's composite session id and accumulating
+// partSession tracks one label's session id and accumulating
 // fingerprint while a trace is replayed.
 type partSession struct {
 	label string
@@ -123,7 +123,10 @@ func finishSession(t *testing.T, sc *ShardedClient, s *partSession) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.SessionID = "" // embeds a replica URL
+	// Blank the id: its counter depends on the topology — one node mints
+	// consecutive counters for the two sessions, two owners may each
+	// mint the first.
+	pl.SessionID = ""
 	s.fp.Placement = pl
 	info, err := sc.Session(ctx, s.id)
 	if err != nil {

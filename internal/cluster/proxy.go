@@ -42,10 +42,11 @@ func uploadInstanceID(body []byte) (string, error) {
 // the path; POST /instances decodes the body and routes by the
 // instance's content-derived id; POST /v1/sessions routes by the body's
 // instance_id, placing each session on its instance's owner. Session
-// paths (/v1/sessions/{id}...) carry a replica-local id, so they are
-// served locally first and scattered to the peers on a local 404 —
-// stateless, at the price of a fan-out for misdirected session calls.
-// Everything else (list endpoints, probes, /statz) is local.
+// paths (/v1/sessions/{id}...) route by the instance id the session id
+// names (service.SessionInstanceID), so they take the same owner,
+// breaker, and hop guard as their instance; an id without the instance
+// prefix is served locally. Everything else (list endpoints, probes,
+// /statz) is local.
 type Proxy struct {
 	// mu guards ring membership: drains remove peers from the ring
 	// while requests are routing on it.
@@ -141,7 +142,11 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		p.routeByKey(w, r, req.InstanceID, body)
 	case seg[0] == "v1" && len(seg) >= 3 && seg[1] == "sessions":
-		p.localThenScatter(w, r)
+		if id, ok := service.SessionInstanceID(seg[2]); ok {
+			p.routeByKey(w, r, id, nil)
+			return
+		}
+		p.inner.ServeHTTP(w, r)
 	case r.Method == http.MethodPost && len(seg) == 3 && seg[0] == "v1" && seg[1] == "cluster" && seg[2] == "drain":
 		p.handleDrain(w, r)
 	default:
@@ -289,78 +294,6 @@ func (p *Proxy) handleDrain(w http.ResponseWriter, r *http.Request) {
 	p.inner.ServeHTTP(w, r)
 }
 
-// ScatterError is the 502 body for a session scatter that could not
-// rule the session out: at least one peer was unreachable (or its
-// breaker open), so the session may live on a replica that did not
-// answer and a 404 would be a lie. Peers maps each silent replica to
-// the reason it was skipped.
-type ScatterError struct {
-	Error string            `json:"error"`
-	Peers map[string]string `json:"peers"`
-}
-
-// localThenScatter serves a replica-local-keyed path (a session id)
-// locally and, if the local handler answers 404, retries every peer with
-// the hop guard set; the first non-404 answer wins. All-404 replays the
-// local 404, so a genuinely unknown session still reads as one — but
-// only when every peer actually answered: if any peer was unreachable,
-// the scatter answers 502 with a ScatterError naming the silent peers,
-// because the session may live on one of them.
-func (p *Proxy) localThenScatter(w http.ResponseWriter, r *http.Request) {
-	body, err := p.buffer(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	rec := &bufferedResponse{header: make(http.Header)}
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	p.inner.ServeHTTP(rec, r)
-	if rec.code != http.StatusNotFound {
-		rec.replay(w)
-		return
-	}
-	p.mu.RLock()
-	members := p.ring.Members()
-	p.mu.RUnlock()
-	unreachable := make(map[string]string)
-	for _, peer := range members {
-		if peer == p.self {
-			continue
-		}
-		b := p.health.For(peer)
-		if !b.Allow() {
-			unreachable[peer] = "circuit breaker open"
-			continue
-		}
-		resp, err := p.forward(r, peer, body)
-		if err != nil {
-			if r.Context().Err() == nil {
-				b.Failure()
-			}
-			unreachable[peer] = err.Error()
-			continue
-		}
-		b.Success()
-		if resp.StatusCode == http.StatusNotFound {
-			resp.Body.Close()
-			continue
-		}
-		defer resp.Body.Close()
-		copyResponse(w, resp)
-		return
-	}
-	if len(unreachable) > 0 {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		json.NewEncoder(w).Encode(ScatterError{ //nolint:errcheck // headers are out; nothing left to do
-			Error: "cluster: scatter incomplete: unreachable peers may hold the session",
-			Peers: unreachable,
-		})
-		return
-	}
-	rec.replay(w)
-}
-
 // forward re-issues the request against a peer with the hop guard set.
 func (p *Proxy) forward(r *http.Request, peer string, body []byte) (*http.Response, error) {
 	var rd io.Reader
@@ -402,44 +335,4 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body) //nolint:errcheck // headers are out; nothing left to do
-}
-
-// bufferedResponse captures a local handler's answer so the proxy can
-// decide whether to scatter before committing bytes to the client.
-type bufferedResponse struct {
-	code   int
-	header http.Header
-	body   bytes.Buffer
-}
-
-// Header implements http.ResponseWriter.
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-// WriteHeader implements http.ResponseWriter.
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.code == 0 {
-		b.code = code
-	}
-}
-
-// Write implements http.ResponseWriter.
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	return b.body.Write(p)
-}
-
-// replay commits the captured answer to the real writer.
-func (b *bufferedResponse) replay(w http.ResponseWriter) {
-	for k, vs := range b.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	w.WriteHeader(b.code)
-	w.Write(b.body.Bytes()) //nolint:errcheck // headers are out; nothing left to do
 }

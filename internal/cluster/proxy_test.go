@@ -2,19 +2,23 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"netplace/internal/core"
 	"netplace/internal/service"
 )
 
 // TestProxyAnyReplicaEntryPoint: with forwarding on (the default), a
 // plain un-sharded service.Client can talk to ANY replica — uploads,
 // instance reads, solves, and session calls for keys owned elsewhere
-// are transparently forwarded to the owner, and session calls land via
-// the local-first-then-scatter path.
+// are transparently forwarded to the owner, session calls routed by the
+// instance id their session id names.
 func TestProxyAnyReplicaEntryPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process suite; skipped in -short mode")
@@ -65,7 +69,7 @@ func TestProxyAnyReplicaEntryPoint(t *testing.T) {
 
 	// Sessions live on the instance's owner; the proxy routes the open
 	// by the body's instance_id, and later session calls from the
-	// non-owner find it by scattering on the replica-local id.
+	// non-owner by the instance id the session id names.
 	sess, err := c.OpenSession(ctx, id, service.SessionConfig{Epoch: 8})
 	if err != nil {
 		t.Fatalf("open session via non-owner: %v", err)
@@ -91,9 +95,11 @@ func TestProxyAnyReplicaEntryPoint(t *testing.T) {
 			ownStats.SessionsOpen, ownStats.SessionEvents)
 	}
 
-	// A genuinely unknown session still reads as 404 after the scatter.
-	if _, err := c.Session(ctx, "s-ffffff"); err == nil {
-		t.Fatal("unknown session id did not 404 through the proxy")
+	// A genuinely unknown session of the instance reads as the owner's
+	// 404, forwarded.
+	var ae *service.APIError
+	if _, err := c.Session(ctx, id+".s-ffffff"); !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Fatalf("unknown session id through the proxy: %v, want the owner's 404", err)
 	}
 
 	// Hop guard: a request arriving with the forwarded header is served
@@ -124,60 +130,126 @@ func TestProxyAnyReplicaEntryPoint(t *testing.T) {
 	}
 }
 
-// TestScatterUnreachablePeer502: a session scatter that cannot reach
-// every peer must not claim 404 — the session may live on a replica
-// that did not answer. It answers 502 with a ScatterError naming the
-// silent peers, both for transport failures and for peers skipped by
-// an open circuit breaker; with every peer answering, an all-404
-// scatter still reads as a clean 404.
-func TestScatterUnreachablePeer502(t *testing.T) {
+// TestProxySessionBreakerFailFast: a session call for a dead owner's
+// instance gets exactly the answers an instance call gets — 502 while
+// the owner's breaker is closed, then a fast 503 naming the replica with
+// a Retry-After once it opens — and an id without the instance prefix
+// is answered by the local handler.
+func TestProxySessionBreakerFailFast(t *testing.T) {
+	var local atomic.Int32
 	notFound := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		local.Add(1)
 		http.NotFound(w, r)
 	})
-	scatter := func(p *Proxy) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/s-abc123", nil))
-		return rec
-	}
-
 	// Port 1 is never listening: every forward fails at dial time.
-	dead := "http://127.0.0.1:1"
-	p := NewProxy("http://self.test", []string{"http://self.test", dead}, notFound, nil)
-	rec := scatter(p)
-	if rec.Code != http.StatusBadGateway {
-		t.Fatalf("scatter with unreachable peer answered %d, want 502", rec.Code)
+	self, dead := "http://self.test", "http://127.0.0.1:1"
+	ring := NewRingOf(0, self, dead)
+	var key string
+	for k := 0; key == ""; k++ {
+		if cand := fmt.Sprintf("%016x", k); ring.Owner(cand) == dead {
+			key = cand
+		}
 	}
-	var se ScatterError
-	if err := json.Unmarshal(rec.Body.Bytes(), &se); err != nil {
-		t.Fatalf("502 body is not a ScatterError: %v\n%s", err, rec.Body.Bytes())
-	}
-	if se.Error == "" || se.Peers[dead] == "" {
-		t.Fatalf("ScatterError does not name the silent peer: %+v", se)
-	}
-
-	// The dial failures fed the peer's breaker; once it opens the peer
-	// is skipped without a connection attempt — still 502, with the
-	// breaker named as the reason.
-	for i := 0; i < 3; i++ {
-		scatter(p)
-	}
-	rec = scatter(p)
-	if rec.Code != http.StatusBadGateway {
-		t.Fatalf("scatter with open-breaker peer answered %d, want 502", rec.Code)
-	}
-	se = ScatterError{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &se); err != nil {
-		t.Fatal(err)
-	}
-	if se.Peers[dead] != "circuit breaker open" {
-		t.Fatalf("open-breaker skip reason = %q, want \"circuit breaker open\"", se.Peers[dead])
+	answers := func(path string) []string {
+		p := NewProxy(self, []string{self, dead}, notFound, nil)
+		var out []string
+		for i := 0; i <= service.DefaultBreakerThreshold; i++ {
+			rec := httptest.NewRecorder()
+			p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			out = append(out, fmt.Sprintf("%d down=%q retry-after=%t", rec.Code,
+				rec.Header().Get(service.HeaderReplicaDown), rec.Header().Get("Retry-After") != ""))
+		}
+		return out
 	}
 
-	// Every peer answering 404 is a provable miss: clean 404, no error.
-	peer := httptest.NewServer(notFound)
-	defer peer.Close()
-	p2 := NewProxy("http://self.test", []string{"http://self.test", peer.URL}, notFound, nil)
-	if rec := scatter(p2); rec.Code != http.StatusNotFound {
-		t.Fatalf("all-404 scatter answered %d, want 404", rec.Code)
+	inst := answers("/instances/" + key)
+	var want []string
+	for i := 0; i < service.DefaultBreakerThreshold; i++ {
+		want = append(want, `502 down="" retry-after=false`)
+	}
+	want = append(want, fmt.Sprintf("503 down=%q retry-after=true", dead))
+	if !slices.Equal(inst, want) {
+		t.Fatalf("instance call answers %q, want %q", inst, want)
+	}
+	if sess := answers("/v1/sessions/" + key + ".s-000001/placement"); !slices.Equal(sess, inst) {
+		t.Fatalf("session call answers %q, instance call %q", sess, inst)
+	}
+	if n := local.Load(); n != 0 {
+		t.Fatalf("the local handler served %d calls for a remote owner's keys", n)
+	}
+
+	p := NewProxy(self, []string{self, dead}, notFound, nil)
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/s-000001", nil))
+	if rec.Code != http.StatusNotFound || local.Load() != 1 {
+		t.Fatalf("unprefixed session id answered %d after %d local calls, want the local 404", rec.Code, local.Load())
+	}
+}
+
+// TestProxySessionsStayWithTheirOwner: two in-process replicas wired
+// like netplaced -cluster each open a session on an instance they own,
+// so both mint the same session counter. Events for each session sent
+// through either replica must land in that session on its owner and
+// leave the other replica's session untouched.
+func TestProxySessionsStayWithTheirOwner(t *testing.T) {
+	ctx := context.Background()
+	// Bind every listener first: each replica is built with the full
+	// member list.
+	ts := make([]*httptest.Server, 2)
+	urls := make([]string, len(ts))
+	for i := range ts {
+		ts[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + ts[i].Listener.Addr().String()
+	}
+	for i, self := range urls {
+		srv := service.New(service.Config{Peers: urls, SelfURL: self, SuccessorURL: SuccessorOf(urls, self)})
+		p := NewProxy(self, urls, srv.Handler(), nil)
+		p.UseHealth(srv.PeerHealth())
+		ts[i].Config.Handler = p
+		ts[i].Start()
+		t.Cleanup(srv.Close)
+		t.Cleanup(ts[i].Close)
+	}
+
+	ring := NewRingOf(0, urls...)
+	sids := make([]string, len(urls))
+	for i, u := range urls {
+		var in *core.Instance
+		for k := 0; k < 64 && in == nil; k++ {
+			if cand := partitionInstance(t, k); ring.Owner(service.InstanceIDFor(cand)) == u {
+				in = cand
+			}
+		}
+		if in == nil {
+			t.Fatalf("no instance owned by %s among 64 candidates", u)
+		}
+		c := service.NewClient(u, nil)
+		up, err := c.Upload(ctx, "owned", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := c.OpenSession(ctx, up.ID, service.SessionConfig{Epoch: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sids[i] = sess.SessionID
+	}
+
+	// Session i takes 3+2i events through each entry point.
+	for i, sid := range sids {
+		for _, entry := range urls {
+			if _, err := service.NewClient(entry, nil).SessionEvents(ctx, sid, conformanceTrace(24, 3+2*i)); err != nil {
+				t.Fatalf("events for %s via %s: %v", sid, entry, err)
+			}
+		}
+	}
+	for i, u := range urls {
+		got, err := service.NewClient(u, nil).Sessions(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 * (3 + 2*i); len(got) != 1 || got[0].SessionID != sids[i] || got[0].Stats.Events != want {
+			t.Fatalf("replica %s holds %+v, want only %s with %d events", u, got, sids[i], want)
+		}
 	}
 }

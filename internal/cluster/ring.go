@@ -2,7 +2,9 @@
 // consistent-hash ring assigns every instance (and with it every
 // streaming session) to one netplaced replica, a ShardedClient routes
 // each call to the owning replica, and an optional stateless Proxy lets
-// any replica forward requests it does not own. The multi-process
+// any replica forward requests it does not own. A session id names its
+// instance (service.SessionInstanceID), so both route a session call
+// exactly like a call on its instance. The multi-process
 // Harness boots real netplaced binaries and is the substrate of the
 // conformance suite proving N replicas are byte-indistinguishable from
 // one. See docs/cluster.md.

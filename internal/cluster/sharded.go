@@ -17,20 +17,20 @@ import (
 // netplaced cluster exactly like one server. Instances are keyed by
 // their content-derived registry id (service.InstanceIDFor), computed
 // client-side, so an upload goes straight to its owner; a session lives
-// on its instance's owner and its id is returned in the composite form
-// "sid@replicaURL", which later session calls route by parsing — the
-// client itself stays stateless, so two ShardedClients over the same
-// cluster agree on every route.
+// on its instance's owner and its id names that instance
+// (service.SessionInstanceID), so session calls route like instance
+// calls and ids pass through unchanged — the client itself stays
+// stateless, so two ShardedClients over the same cluster (or any
+// replica's Proxy) agree on every route.
 //
 // Each per-replica client shares one retry policy (SetRetryPolicy); with
 // sequenced ingest (SessionEventsSeq) a replica restart mid-stream is
 // absorbed transparently: the retry reconnects and the server's
 // idempotent dedup discards anything the torn response already applied.
 type ShardedClient struct {
-	ring     *Ring
-	replicas []string
-	clients  map[string]*service.Client
-	health   *service.PeerHealth // passive per-replica breakers (no prober)
+	ring    *Ring
+	clients map[string]*service.Client
+	health  *service.PeerHealth // passive per-replica breakers (no prober)
 }
 
 // NewShardedClient builds a sharded client over the replica base URLs
@@ -51,7 +51,6 @@ func NewShardedClient(replicas []string, httpClient *http.Client) (*ShardedClien
 		if !sc.ring.Add(rep) {
 			continue // duplicate URL
 		}
-		sc.replicas = append(sc.replicas, rep)
 		c := service.NewClient(rep, httpClient)
 		c.SetBreaker(sc.health.For(rep))
 		sc.clients[rep] = c
@@ -80,35 +79,6 @@ func (sc *ShardedClient) SetBreakerConfig(cfg service.BreakerConfig) {
 // inspect (or tests can manipulate) replica state.
 func (sc *ShardedClient) Health() *service.PeerHealth { return sc.health }
 
-// Successor returns the replica holding the read-only snapshot of an
-// instance — the next member after its owner in sorted member order
-// (the same rule every server layer uses), "" on a single-replica ring.
-func (sc *ShardedClient) Successor(instanceID string) string {
-	return sc.ring.Successor(sc.ring.Owner(instanceID))
-}
-
-// RemovePeer drops a replica from the client's ring and breaker
-// tracker — the client-side half of a cluster drain. Keys the removed
-// replica owned re-route to the survivors with the ring's
-// minimal-movement guarantee.
-func (sc *ShardedClient) RemovePeer(url string) {
-	url = strings.TrimRight(url, "/")
-	if !sc.ring.Remove(url) {
-		return
-	}
-	delete(sc.clients, url)
-	sc.health.Remove(url)
-	for i, rep := range sc.replicas {
-		if rep == url {
-			sc.replicas = append(sc.replicas[:i], sc.replicas[i+1:]...)
-			break
-		}
-	}
-}
-
-// Replicas returns the replica URLs in ring-membership order.
-func (sc *ShardedClient) Replicas() []string { return sc.ring.Members() }
-
 // Owner returns the replica URL owning an instance id.
 func (sc *ShardedClient) Owner(instanceID string) string { return sc.ring.Owner(instanceID) }
 
@@ -117,19 +87,12 @@ func (sc *ShardedClient) clientFor(instanceID string) *service.Client {
 	return sc.clients[sc.ring.Owner(instanceID)]
 }
 
-// splitSessionID parses the composite "sid@replicaURL" form minted by
-// OpenSession. The replica URL may itself contain '@' in theory, the
-// session id ("s-%06x") never does, so the split is on the FIRST '@'.
-func (sc *ShardedClient) splitSessionID(id string) (sid string, c *service.Client, err error) {
-	sid, rep, ok := strings.Cut(id, "@")
-	if !ok {
-		return "", nil, fmt.Errorf("cluster: session id %q lacks the @replica suffix minted by OpenSession", id)
-	}
-	c, ok = sc.clients[rep]
-	if !ok {
-		return "", nil, fmt.Errorf("cluster: session id %q names unknown replica %q", id, rep)
-	}
-	return sid, c, nil
+// sessionClient returns the client of the replica owning a session's
+// instance. An id without the instance prefix routes like the empty
+// key; that replica answers it from its own session table.
+func (sc *ShardedClient) sessionClient(id string) *service.Client {
+	instanceID, _ := service.SessionInstanceID(id)
+	return sc.clientFor(instanceID)
 }
 
 // Upload registers an instance on its owning replica. The owner is
@@ -210,31 +173,14 @@ func (sc *ShardedClient) Simulate(ctx context.Context, id string, p encode.Place
 }
 
 // OpenSession opens a streaming session on the replica owning the
-// instance and rewrites the returned SessionID to the composite
-// "sid@replicaURL" form every later session call routes by.
+// instance.
 func (sc *ShardedClient) OpenSession(ctx context.Context, instanceID string, cfg service.SessionConfig) (service.SessionInfo, error) {
-	owner := sc.ring.Owner(instanceID)
-	info, err := sc.clients[owner].OpenSession(ctx, instanceID, cfg)
-	if err != nil {
-		return info, err
-	}
-	info.SessionID = info.SessionID + "@" + owner
-	return info, nil
+	return sc.clientFor(instanceID).OpenSession(ctx, instanceID, cfg)
 }
 
-// Session returns a session's record from the replica named in its
-// composite id.
+// Session returns a session's record from its instance's owner.
 func (sc *ShardedClient) Session(ctx context.Context, id string) (service.SessionInfo, error) {
-	sid, c, err := sc.splitSessionID(id)
-	if err != nil {
-		return service.SessionInfo{}, err
-	}
-	info, err := c.Session(ctx, sid)
-	if err != nil {
-		return info, err
-	}
-	info.SessionID = id
-	return info, nil
+	return sc.sessionClient(id).Session(ctx, id)
 }
 
 // SessionEvents streams an unsequenced batch to the session's replica.
@@ -242,55 +188,30 @@ func (sc *ShardedClient) Session(ctx context.Context, id string) (service.Sessio
 // faults; prefer SessionEventsSeq on a cluster, where replica restarts
 // are exactly the fault being absorbed.
 func (sc *ShardedClient) SessionEvents(ctx context.Context, id string, events []service.SessionEvent) (service.SessionEventsResponse, error) {
-	sid, c, err := sc.splitSessionID(id)
-	if err != nil {
-		return service.SessionEventsResponse{}, err
-	}
-	return c.SessionEvents(ctx, sid, events)
+	return sc.sessionClient(id).SessionEvents(ctx, id, events)
 }
 
 // SessionEventsSeq streams a sequenced batch to the session's replica —
 // the cluster's idempotent ingest path: retried on any fault, and the
 // owning replica's durable dedup turns the retries into exactly-once.
 func (sc *ShardedClient) SessionEventsSeq(ctx context.Context, id string, seq int64, events []service.SessionEvent) (service.SessionEventsResponse, error) {
-	sid, c, err := sc.splitSessionID(id)
-	if err != nil {
-		return service.SessionEventsResponse{}, err
-	}
-	return c.SessionEventsSeq(ctx, sid, seq, events)
+	return sc.sessionClient(id).SessionEventsSeq(ctx, id, seq, events)
 }
 
 // SessionFlush closes the session's open partial epoch on its replica.
 func (sc *ShardedClient) SessionFlush(ctx context.Context, id string) (service.SessionEventsResponse, error) {
-	sid, c, err := sc.splitSessionID(id)
-	if err != nil {
-		return service.SessionEventsResponse{}, err
-	}
-	return c.SessionFlush(ctx, sid)
+	return sc.sessionClient(id).SessionFlush(ctx, id)
 }
 
 // SessionPlacement reads the session's adaptive placement from its
-// replica, echoing the composite id back in the response.
+// replica.
 func (sc *ShardedClient) SessionPlacement(ctx context.Context, id string) (service.SessionPlacementResponse, error) {
-	sid, c, err := sc.splitSessionID(id)
-	if err != nil {
-		return service.SessionPlacementResponse{}, err
-	}
-	resp, err := c.SessionPlacement(ctx, sid)
-	if err != nil {
-		return resp, err
-	}
-	resp.SessionID = id
-	return resp, nil
+	return sc.sessionClient(id).SessionPlacement(ctx, id)
 }
 
 // CloseSession drops the session on its replica.
 func (sc *ShardedClient) CloseSession(ctx context.Context, id string) error {
-	sid, c, err := sc.splitSessionID(id)
-	if err != nil {
-		return err
-	}
-	return c.CloseSession(ctx, sid)
+	return sc.sessionClient(id).CloseSession(ctx, id)
 }
 
 // Stats snapshots every replica's /statz, keyed by replica URL. A

@@ -108,7 +108,7 @@ func TestMaxSessionsOrderingAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.SessionID != "s-000001" || s2.SessionID != "s-000002" {
+	if s1.SessionID != up.ID+".s-000001" || s2.SessionID != up.ID+".s-000002" {
 		t.Fatalf("ids: %s, %s", s1.SessionID, s2.SessionID)
 	}
 	if _, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 8}); err == nil {
@@ -123,7 +123,7 @@ func TestMaxSessionsOrderingAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.SessionID != "s-000003" {
+	if s3.SessionID != up.ID+".s-000003" {
 		t.Fatalf("id after delete: %s (ids must never be reused)", s3.SessionID)
 	}
 	h.Kill()
@@ -157,7 +157,7 @@ func TestMaxSessionsOrderingAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s4.SessionID != "s-000004" {
+	if s4.SessionID != up.ID+".s-000004" {
 		t.Fatalf("id after recovery: %s (counter must advance past recovered ids)", s4.SessionID)
 	}
 }

@@ -298,19 +298,19 @@ func TestSessionOpenRollbackOnLaterPersistSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 8}); err != nil {
-		t.Fatal(err) // s-000001, keeps the table non-empty
+		t.Fatal(err) // <id>.s-000001, keeps the table non-empty
 	}
-	// The next session would be s-000002: squat a directory on its WAL
+	// The next session would be <id>.s-000002: squat a directory on its WAL
 	// path so createSessionLog fails after the meta write.
-	if err := os.Mkdir(filepath.Join(h.Dir(), "sessions", "s-000002.wal.1.jsonl"), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(h.Dir(), "sessions", up.ID+".s-000002.wal.1.jsonl"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 8}); err == nil {
 		t.Fatal("open with an uncreatable WAL succeeded")
 	}
-	// And s-000003: squat a non-empty directory on its snapshot path so
+	// And <id>.s-000003: squat a non-empty directory on its snapshot path so
 	// the atomic rename fails after meta and WAL succeed.
-	snapDir := filepath.Join(h.Dir(), "sessions", "s-000003.snap.json")
+	snapDir := filepath.Join(h.Dir(), "sessions", up.ID+".s-000003.snap.json")
 	if err := os.MkdirAll(filepath.Join(snapDir, "occupied"), 0o755); err != nil {
 		t.Fatal(err)
 	}

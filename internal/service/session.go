@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"strings"
 	"sync"
 
 	"netplace/internal/core"
@@ -94,7 +95,9 @@ type SessionRequest struct {
 
 // SessionInfo is the wire form of a session record.
 type SessionInfo struct {
-	// SessionID addresses the session under /v1/sessions/{id}.
+	// SessionID addresses the session under /v1/sessions/{id}. It is
+	// minted as "<instance id>.s-<counter>" (see SessionInstanceID), so
+	// every replica of a cluster routes it to the instance's owner.
 	SessionID string `json:"session_id"`
 	// InstanceID is the instance the session streams against.
 	InstanceID string `json:"instance_id"`
@@ -200,6 +203,21 @@ type SessionPlacementResponse struct {
 	Stats     SessionStats   `json:"stats"`
 }
 
+// sessionIDSep joins a session id's instance id and its counter.
+const sessionIDSep = ".s-"
+
+// SessionInstanceID returns the id of the instance a session id names.
+// Session ids are minted as "<instance id>.s-<counter>", so a session
+// routes like its instance: any replica or client finds the owner from
+// the id alone. ok is false for an id without the instance prefix.
+func SessionInstanceID(id string) (instanceID string, ok bool) {
+	instanceID, _, ok = strings.Cut(id, sessionIDSep)
+	if !ok || instanceID == "" {
+		return "", false
+	}
+	return instanceID, true
+}
+
 // sessions is the server's session table.
 type sessions struct {
 	mu   sync.Mutex
@@ -207,8 +225,8 @@ type sessions struct {
 	next int
 }
 
-// add registers a session under a fresh id; cap is the configured
-// session limit.
+// add registers a session under a fresh id minted from its instance id;
+// cap is the configured session limit.
 func (t *sessions) add(s *Session, cap int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -219,7 +237,7 @@ func (t *sessions) add(s *Session, cap int) error {
 		return fmt.Errorf("service: session limit of %d reached", cap)
 	}
 	t.next++
-	s.ID = fmt.Sprintf("s-%06x", t.next)
+	s.ID = fmt.Sprintf("%s%s%06x", s.InstanceID, sessionIDSep, t.next)
 	t.m[s.ID] = s
 	return nil
 }
@@ -251,10 +269,12 @@ func (t *sessions) reserve(id string) {
 	t.bumpLocked(id)
 }
 
-// bumpLocked advances next past a recovered id. Called with t.mu held.
+// bumpLocked advances next past a recovered id's counter. Called with
+// t.mu held.
 func (t *sessions) bumpLocked(id string) {
 	var n int
-	if _, err := fmt.Sscanf(id, "s-%x", &n); err == nil && n > t.next {
+	_, counter, _ := strings.Cut(id, sessionIDSep)
+	if _, err := fmt.Sscanf(counter, "%x", &n); err == nil && n > t.next {
 		t.next = n
 	}
 }

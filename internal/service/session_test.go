@@ -121,6 +121,23 @@ func TestSessionFlow(t *testing.T) {
 	}
 }
 
+// TestSessionIDNamesInstance: a minted session id names its instance,
+// and only ids with a non-empty instance prefix parse.
+func TestSessionIDNamesInstance(t *testing.T) {
+	_, id, sid := openTestSession(t, SessionConfig{})
+	if sid != id+".s-000001" {
+		t.Fatalf("session id %q, want %q", sid, id+".s-000001")
+	}
+	if got, ok := SessionInstanceID(sid); !ok || got != id {
+		t.Fatalf("SessionInstanceID(%q) = %q, %v; want %q, true", sid, got, ok, id)
+	}
+	for _, bad := range []string{"", "s-000001", ".s-000001", id} {
+		if got, ok := SessionInstanceID(bad); ok || got != "" {
+			t.Fatalf("SessionInstanceID(%q) = %q, %v; want \"\", false", bad, got, ok)
+		}
+	}
+}
+
 func TestSessionValidation(t *testing.T) {
 	ctx := context.Background()
 	_, c := newTestServer(t, Config{MaxSessions: 1})
