@@ -10,8 +10,8 @@
 //	          [-workers n] [-parallel n] [-solve-timeout 5m]
 //	          [-max-queue n] [-data-dir dir] [-no-sync]
 //	          [-fsync-interval 0]
-//	          [-cluster url1,url2,...] [-self url] [-peer-cache]
-//	          [-no-forward] [-peer-timeout 2s] [-probe-interval 1s]
+//	          [-cluster url1,url2,...] [-self url] [-no-forward]
+//	          [-peer-timeout 2s] [-probe-interval 1s]
 //	          [-breaker-threshold 3] [-breaker-backoff 250ms]
 //	          [-successor url]
 //	netplaced -drain-peer url -cluster url1,url2,...
@@ -24,10 +24,10 @@
 // forwarded to it (with an X-Netplace-Forwarded hop guard), so any
 // replica is a valid entry point — -no-forward disables the forwarding
 // and leaves each replica answering only what it holds, for sharded
-// clients that route themselves. -peer-cache additionally lets a solve
-// that misses the local result cache probe the peers' caches before
-// running the solver, collapsing identical solves cluster-wide;
-// /statz?cluster=1 merges every replica's counters into one view.
+// clients that route themselves. Because every call for an instance
+// reaches its owner, the owner's result cache and in-flight dedup run
+// each identical solve once cluster-wide; /statz?cluster=1 merges every
+// replica's counters into one view.
 //
 // The cluster is self-healing: every replica tracks its peers with
 // per-peer circuit breakers fed by a background /readyz prober (every
@@ -164,9 +164,8 @@ func main() {
 		fsyncIvl  = flag.Duration("fsync-interval", 0, "group-commit window: fsync session WALs at most once per interval (0: every append)")
 		clusterL  = flag.String("cluster", "", "comma-separated base URLs of every cluster replica (empty: standalone); see docs/cluster.md")
 		selfURL   = flag.String("self", "", "this replica's own base URL within -cluster")
-		peerCache = flag.Bool("peer-cache", false, "probe cluster peers' solve caches before running a solver (needs -cluster)")
 		noForward = flag.Bool("no-forward", false, "do not proxy requests for keys other replicas own (callers must route themselves)")
-		peerTime  = flag.Duration("peer-timeout", 0, "per-peer cap on cache probes, gossip fetches, and health probes (0: default 2s)")
+		peerTime  = flag.Duration("peer-timeout", 0, "per-peer cap on gossip fetches, health probes, and successor pushes (0: default 2s)")
 		probeIvl  = flag.Duration("probe-interval", 0, "peer /readyz health-probe interval (0: default 1s, <0: passive-only breakers)")
 		bThresh   = flag.Int("breaker-threshold", 0, "consecutive peer failures before its circuit breaker opens (0: default 3)")
 		bBackoff  = flag.Duration("breaker-backoff", 0, "initial breaker reopen-probe backoff, doubled per failed probe (0: default 250ms)")
@@ -209,7 +208,6 @@ func main() {
 		FsyncInterval:      *fsyncIvl,
 		Peers:              peers,
 		SelfURL:            *selfURL,
-		PeerCache:          *peerCache,
 		PeerTimeout:        *peerTime,
 		ProbeInterval:      *probeIvl,
 		BreakerThreshold:   *bThresh,

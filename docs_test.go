@@ -292,17 +292,17 @@ func TestResilienceDocs(t *testing.T) {
 }
 
 // TestClusterDocs asserts the scale-out layer stays documented:
-// docs/cluster.md exists and covers the membership flags, the hash
-// ring, the hop guard, the peer cache, and the merged stats view; the
-// HTTP API page links it (the probe route and peer counters live
-// there); and the two cluster-aware commands' doc comments point at it.
+// docs/cluster.md exists and covers the membership and drain flags, the
+// hash ring, the hop guard, and the merged stats view; the HTTP API page
+// links it (the replica routes and peer counters live there); and the
+// two cluster-aware commands' doc comments point at it.
 func TestClusterDocs(t *testing.T) {
 	page, err := os.ReadFile(filepath.Join("docs", "cluster.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"-cluster", "-self", "-peer-cache", "-no-forward",
+		"-cluster", "-self", "-drain-peer", "-no-forward",
 		"consistent-hash", "X-Netplace-Forwarded", "/statz?cluster=1",
 		"byte-identical", "-peers",
 	} {

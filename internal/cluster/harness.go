@@ -43,11 +43,6 @@ type HarnessConfig struct {
 	// BaseDir is the root under which per-replica data directories and
 	// log files are created (required; use t.TempDir() from tests).
 	BaseDir string
-	// PeerCache passes -peer-cache to every replica.
-	PeerCache bool
-	// NoForward passes -no-forward to every replica (sharded clients
-	// route themselves; a replica answers only what it owns).
-	NoForward bool
 	// ExtraArgs appends additional netplaced flags to every replica.
 	ExtraArgs []string
 	// FaultProxy interposes a TCP fault proxy in front of every
@@ -241,12 +236,6 @@ func (h *Harness) StartReplica(i int) error {
 		"-data-dir", r.DataDir,
 		"-cluster", strings.Join(urls, ","),
 		"-self", r.URL,
-	}
-	if h.cfg.PeerCache {
-		args = append(args, "-peer-cache")
-	}
-	if h.cfg.NoForward {
-		args = append(args, "-no-forward")
 	}
 	args = append(args, h.cfg.ExtraArgs...)
 	logf, err := os.OpenFile(r.logPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)

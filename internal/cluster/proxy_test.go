@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -251,5 +252,57 @@ func TestProxySessionsStayWithTheirOwner(t *testing.T) {
 		if want := 2 * (3 + 2*i); len(got) != 1 || got[0].SessionID != sids[i] || got[0].Stats.Events != want {
 			t.Fatalf("replica %s holds %+v, want only %s with %d events", u, got, sids[i], want)
 		}
+	}
+}
+
+// TestRingOwnerSolvesEachInstanceOnce: two in-process replicas wired
+// like netplaced -cluster. One instance uploaded through each replica
+// and then solved through each is solved once for the whole cluster:
+// every call reaches the instance's owner, whose result cache answers
+// the second solve.
+func TestRingOwnerSolvesEachInstanceOnce(t *testing.T) {
+	ctx := context.Background()
+	ts := make([]*httptest.Server, 2)
+	urls := make([]string, len(ts))
+	for i := range ts {
+		ts[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + ts[i].Listener.Addr().String()
+	}
+	for i, self := range urls {
+		srv := service.New(service.Config{Peers: urls, SelfURL: self, SuccessorURL: SuccessorOf(urls, self)})
+		p := NewProxy(self, urls, srv.Handler(), nil)
+		p.UseHealth(srv.PeerHealth())
+		ts[i].Config.Handler = p
+		ts[i].Start()
+		t.Cleanup(srv.Close)
+		t.Cleanup(ts[i].Close)
+	}
+
+	in := conformanceInstance(t)
+	var id string
+	for _, u := range urls {
+		up, err := service.NewClient(u, nil).Upload(ctx, "shared", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = up.ID
+	}
+	res := make([]service.SolveResult, len(urls))
+	for i, u := range urls {
+		var err error
+		if res[i], err = service.NewClient(u, nil).Solve(ctx, id, service.SolveOptions{}); err != nil {
+			t.Fatalf("solve via %s: %v", u, err)
+		}
+	}
+	if res[0].Cached || !res[1].Cached || !reflect.DeepEqual(res[0].Placement, res[1].Placement) {
+		t.Fatalf("solves: cached %v then %v, placements equal %v; want a run, then the same placement from the cache",
+			res[0].Cached, res[1].Cached, reflect.DeepEqual(res[0].Placement, res[1].Placement))
+	}
+	cs, err := service.NewClient(urls[0], nil).ClusterStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tot := cs.Totals; len(cs.Errors) != 0 || tot.Replicas != 2 || tot.Instances != 1 || tot.SolvesTotal != 1 || tot.CacheHits != 1 {
+		t.Fatalf("cluster totals %+v (errors %v); want 2 replicas, 1 instance, 1 solve, 1 cache hit", tot, cs.Errors)
 	}
 }

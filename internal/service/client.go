@@ -617,16 +617,6 @@ func (c *Client) ClusterDrain(ctx context.Context, peer string) (ClusterDrainRes
 	return out, err
 }
 
-// CacheProbe asks the server whether it holds a cached solve of
-// (instance content hash, options) — the cluster peer-cache protocol's
-// wire call (POST /v1/cache/probe). Servers answer from the result cache
-// only; a probe never triggers a solve.
-func (c *Client) CacheProbe(ctx context.Context, hash string, opts SolveOptions) (CacheProbeResponse, error) {
-	var out CacheProbeResponse
-	err := c.do(ctx, http.MethodPost, "/v1/cache/probe", CacheProbeRequest{Hash: hash, Options: opts}, &out)
-	return out, err
-}
-
 // Health probes /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)

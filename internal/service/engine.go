@@ -232,10 +232,6 @@ type SolveResult struct {
 	// it was computed once for several concurrent identical requests.
 	Cached bool `json:"cached"`
 	Shared bool `json:"shared,omitempty"`
-	// PeerCached reports that this replica answered from a cluster peer's
-	// solve cache (Config.PeerCache) instead of running the solver; the
-	// placement bytes are the peer's verbatim. See docs/cluster.md.
-	PeerCached bool `json:"peer_cached,omitempty"`
 	// Scenario echoes the label of the what-if scenario this result answers.
 	Scenario string `json:"scenario,omitempty"`
 	// Incremental reports that the scenario was served by the incremental
@@ -272,13 +268,6 @@ type Engine struct {
 	// testHookSolveStart, when non-nil, runs at the top of every solver
 	// execution; tests use it to hold a run in flight deterministically.
 	testHookSolveStart func()
-
-	// peerProbe, when non-nil, asks the cluster peers' solve caches for
-	// (instance hash, normalized options) before running the solver. Set
-	// by Server.setupPeers under Config.PeerCache; it runs inside the
-	// singleflight leader so concurrent local duplicates share one probe
-	// round (see docs/cluster.md).
-	peerProbe func(ctx context.Context, hash string, opts SolveOptions) (*SolveResult, bool)
 }
 
 // NewEngine assembles an engine over a registry. counters may be shared
@@ -348,8 +337,9 @@ func (e *Engine) SolveSnapshot(ctx context.Context, id, hash string, in *core.In
 
 // solveOn is the shared solve kernel behind Solve and SolveSnapshot:
 // validate the normalized options against the instance, then serve from
-// the result cache or run under singleflight (probing peers' caches
-// first when the peer cache is on).
+// the result cache or run under singleflight. In a cluster every call
+// for an instance reaches its ring owner, so this cache and singleflight
+// run each identical solve once cluster-wide (see docs/cluster.md).
 func (e *Engine) solveOn(ctx context.Context, id, hash string, in *core.Instance, opts SolveOptions) (SolveResult, error) {
 	if err := opts.validateFor(in); err != nil {
 		return SolveResult{}, err
@@ -371,17 +361,6 @@ func (e *Engine) solveOn(ctx context.Context, id, hash string, in *core.Instance
 			counted = true
 		}
 		val, err, shared := e.flight.Do(ctx, key, func() (any, error) {
-			if e.peerProbe != nil {
-				if res, ok := e.peerProbe(ctx, hash, opts); ok {
-					// A peer already solved this: adopt its result verbatim
-					// (bytes must match a local run — the conformance suite
-					// pins that) and cache it here like our own.
-					res.PeerCached = true
-					e.cache.Put(key, res)
-					e.keepStale(hash, res)
-					return res, nil
-				}
-			}
 			res, err := e.run(ctx, id, in, opts)
 			if err != nil {
 				return nil, err

@@ -2,16 +2,14 @@ package service
 
 import (
 	"context"
-	"net/http"
 	"sync"
 	"time"
 )
 
 // This file is the server half of netplaced clustering (see
-// docs/cluster.md): the peer solve-cache probe endpoint, the outgoing
-// probe path the engine consults before running a solver, and the
-// cluster-wide /statz merge. The routing halves — consistent-hash ring,
-// ShardedClient, stateless proxy — live in internal/cluster, which
+// docs/cluster.md): the peer set, its breakers and /readyz prober, and
+// the cluster-wide /statz merge. The routing halves — consistent-hash
+// ring, ShardedClient, stateless proxy — live in internal/cluster, which
 // builds on this package.
 
 // HeaderForwarded is the proxy hop guard: a replica forwarding a request
@@ -20,64 +18,11 @@ import (
 // disagreement degrades to one extra hop, never a forwarding loop.
 const HeaderForwarded = "X-Netplace-Forwarded"
 
-// CacheProbeRequest is the body of POST /v1/cache/probe: a peer asking
-// whether this replica has already solved (hash, options). Hash is the
-// instance content hash (InstanceInfo.Hash), not the registry id, so a
-// replica can answer even when it registered the instance under a label.
-type CacheProbeRequest struct {
-	Hash    string       `json:"hash"`
-	Options SolveOptions `json:"options,omitzero"`
-}
-
-// CacheProbeResponse is the probe answer. Found is false when this
-// replica has no cached result for the key; Result is set iff Found.
-type CacheProbeResponse struct {
-	Found  bool         `json:"found"`
-	Result *SolveResult `json:"result,omitempty"`
-}
-
-// handleCacheProbe is POST /v1/cache/probe: answer a peer's solve-cache
-// probe straight from the result cache. It never solves, never blocks on
-// the worker pool, and never probes further peers — the caller is a
-// singleflight leader on its own replica, so anything but a map lookup
-// here would cascade load instead of collapsing it.
-func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
-	var req CacheProbeRequest
-	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	opts, err := req.Options.normalize()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, ok := s.engine.cachedResult(req.Hash, opts)
-	if !ok {
-		writeJSON(w, http.StatusOK, CacheProbeResponse{})
-		return
-	}
-	s.counters.peerServed.Add(1)
-	writeJSON(w, http.StatusOK, CacheProbeResponse{Found: true, Result: res})
-}
-
-// cachedResult looks a (hash, normalized options) pair up in the result
-// cache without counting a hit or miss — the probe answers on behalf of
-// a peer's solve, not a local one.
-func (e *Engine) cachedResult(hash string, opts SolveOptions) (*SolveResult, bool) {
-	v, ok := e.cache.Get(hash + "|" + opts.key())
-	if !ok {
-		return nil, false
-	}
-	out := *v.(*SolveResult)
-	return &out, true
-}
-
-// peerSet holds the probe clients for the configured peers. Built at
-// server construction and mutated only by drain-driven membership
-// removal; the probe clients carry no retry policy (a probe is an
-// optimization — on any fault the solve just runs locally) and every
-// probe is bounded by Config.PeerTimeout.
+// peerSet holds the clients for the configured peers, which the
+// /statz?cluster=1 gossip fans out over. Built at server construction
+// and mutated only by drain-driven membership removal; the clients
+// carry no retry policy (an unreachable peer is reported, not retried)
+// and every call is bounded by Config.PeerTimeout.
 type peerSet struct {
 	timeout time.Duration
 
@@ -118,11 +63,10 @@ func (ps *peerSet) len() int {
 	return len(ps.urls)
 }
 
-// setupPeers filters SelfURL out of cfg.Peers and builds one probe
-// client per remaining peer, every client sharing the server's
-// PeerHealth breakers; it wires the engine's peer-probe hook when
-// PeerCache is on, builds the successor push client when SuccessorURL
-// is set, and starts the background /readyz prober.
+// setupPeers filters SelfURL out of cfg.Peers and builds one client per
+// remaining peer, every client sharing the server's PeerHealth breakers;
+// it builds the successor push client when SuccessorURL is set and
+// starts the background /readyz prober.
 func (s *Server) setupPeers() {
 	var urls []string
 	for _, u := range s.cfg.Peers {
@@ -152,15 +96,12 @@ func (s *Server) setupPeers() {
 		s.successor = sc
 		s.successorURL = succ
 	}
-	if s.cfg.PeerCache {
-		s.engine.peerProbe = s.probePeers
-	}
 	if s.cfg.ProbeInterval > 0 {
 		s.health.StartProber(s.cfg.ProbeInterval, s.cfg.PeerTimeout)
 	}
 }
 
-// removePeer drops a peer from the probe set and its breaker from the
+// removePeer drops a peer from the peer set and its breaker from the
 // health tracker — the service half of a cluster drain. Reports whether
 // the peer was known.
 func (s *Server) removePeer(url string) bool {
@@ -172,68 +113,6 @@ func (s *Server) removePeer(url string) bool {
 		s.health.Remove(url)
 	}
 	return ok
-}
-
-// probeConcurrency bounds the parallel peer cache-probe fan-out: enough
-// to hide one slow peer behind the others, small enough that a
-// cache-miss storm cannot multiply probe load quadratically.
-const probeConcurrency = 4
-
-// probePeers asks the peers in parallel (bounded by probeConcurrency)
-// whether one of them already solved (hash, opts), returning the first
-// cached result found; the first hit cancels the remaining probes.
-// Peers whose circuit breaker is not Ready are skipped outright — a
-// down peer must cost nothing, not a timeout. Each launched probe keeps
-// its own Config.PeerTimeout bound, and every per-peer error is
-// swallowed: a probe can only save work, never fail the solve.
-func (s *Server) probePeers(ctx context.Context, hash string, opts SolveOptions) (*SolveResult, bool) {
-	urls, clients := s.peers.snapshot()
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan *SolveResult, len(clients))
-	sem := make(chan struct{}, probeConcurrency)
-	var wg sync.WaitGroup
-	for i, pc := range clients {
-		if !s.health.For(urls[i]).Ready() {
-			continue
-		}
-		wg.Add(1)
-		go func(pc *Client) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-pctx.Done():
-				return
-			}
-			s.counters.peerProbes.Add(1)
-			s.counters.peerProbeInflight.Add(1)
-			defer s.counters.peerProbeInflight.Add(-1)
-			cctx, ccancel := context.WithTimeout(pctx, s.peers.timeout)
-			defer ccancel()
-			var resp CacheProbeResponse
-			err := pc.do(cctx, http.MethodPost, "/v1/cache/probe",
-				CacheProbeRequest{Hash: hash, Options: opts}, &resp)
-			if err != nil || !resp.Found || resp.Result == nil {
-				return
-			}
-			select {
-			case results <- resp.Result:
-			default: // a hit already won; drop the duplicate
-			}
-		}(pc)
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	res, ok := <-results
-	if !ok {
-		return nil, false
-	}
-	cancel() // first hit cancels the stragglers
-	s.counters.peerHits.Add(1)
-	return res, true
 }
 
 // clusterStats fans the plain /statz request out to every peer and
@@ -281,9 +160,6 @@ func (s *Server) clusterStats(ctx context.Context) ClusterStats {
 		out.Totals.SolvesTotal += st.SolvesTotal
 		out.Totals.CacheHits += st.CacheHits
 		out.Totals.CacheMisses += st.CacheMisses
-		out.Totals.PeerProbes += st.PeerProbes
-		out.Totals.PeerHits += st.PeerHits
-		out.Totals.PeerServed += st.PeerServed
 		out.Totals.SessionsOpen += st.SessionsOpen
 		out.Totals.SessionEvents += st.SessionEvents
 		out.Totals.SessionEpochs += st.SessionEpochs

@@ -187,11 +187,12 @@ type sessionMetaJSON struct {
 	Config     SessionConfig `json:"config"`
 }
 
-// walFormatVersion is the WAL wire format this server writes: version 2
-// groups event lines into batches terminated by stream.WALCommit marker
-// lines, giving batch-atomic recovery and durable idempotency sequence
-// numbers. Snapshots record the version so version-1 WALs (plain event
-// lines, line-atomic recovery) from older servers still recover.
+// walFormatVersion is the only WAL wire format this server writes and
+// reads: version 2 groups event lines into batches terminated by
+// stream.WALCommit marker lines, giving batch-atomic recovery and
+// durable idempotency sequence numbers. Snapshots record the version;
+// recovery skips a session whose snapshot names any other, such as the
+// line-atomic version 1 (no wal_ver field) of early servers.
 const walFormatVersion = 2
 
 // sessionSnapJSON pairs an engine state snapshot with the WAL generation
@@ -255,6 +256,9 @@ func (st *store) readSessionSnap(sid string) (sessionSnapJSON, error) {
 	}
 	if snap.WALSeq <= 0 || snap.State == nil {
 		return snap, fmt.Errorf("service: corrupt session snapshot: wal_seq %d, state %v", snap.WALSeq, snap.State != nil)
+	}
+	if snap.WALVer != walFormatVersion {
+		return snap, fmt.Errorf("service: session snapshot names wal format %d; only %d is read", snap.WALVer, walFormatVersion)
 	}
 	return snap, nil
 }
@@ -527,13 +531,14 @@ func (s *Server) recoverState() error {
 }
 
 // recoverSession rebuilds one session: restore the engine from its
-// snapshot, replay the WAL's longest valid prefix through the normal
+// snapshot, replay the WAL's committed batches through the normal
 // Observe path (truncating a torn tail), and re-register it under its
 // original id. Recovery writes no new snapshot — replay is idempotent,
-// so crashing during recovery just replays again — with one exception:
-// a session recovered from a pre-v2 snapshot rotates immediately, so
-// the commit-marker batches appended from now on are never mixed into a
-// log a v1 (line-granular) recovery would decode.
+// so crashing during recovery just replays again. Replay installs no
+// worker-slot gate: recovery runs before the server serves, so no
+// request competes for the slots. A session that cannot be rebuilt
+// (including one whose snapshot names another WAL format) is logged and
+// skipped, and its id stays reserved.
 func (s *Server) recoverSession(sid string) {
 	meta, err := s.store.readSessionMeta(sid)
 	if err != nil {
@@ -565,7 +570,6 @@ func (s *Server) recoverSession(sid string) {
 		instance:   in,
 		objIndex:   stream.ObjectIndex(in),
 	}
-	cfg.SolveGate = s.sessionGate(sess)
 	eng, err := stream.Restore(in, cfg, snap.State)
 	if err != nil {
 		log.Printf("service: skipping session %s: %v", sid, err)
@@ -574,7 +578,7 @@ func (s *Server) recoverSession(sid string) {
 	}
 
 	walPath := s.store.sessionWALPath(sid, snap.WALSeq)
-	events, walSeq, valid, size, err := s.decodeSessionWAL(walPath, in, snap.WALVer >= 2)
+	events, walSeq, valid, size, err := s.decodeSessionWAL(walPath, in)
 	if err != nil {
 		log.Printf("service: skipping session %s: %v", sid, err)
 		s.sessions.reserve(sid)
@@ -595,8 +599,8 @@ func (s *Server) recoverSession(sid string) {
 	}
 	for _, r := range events {
 		if _, err := eng.Observe(r); err != nil {
-			// DecodeWAL validated every event; reaching this is a bug, but
-			// a skipped session beats a poisoned server.
+			// DecodeWALBatches validated every event; reaching this is a
+			// bug, but a skipped session beats a poisoned server.
 			log.Printf("service: skipping session %s: replay: %v", sid, err)
 			s.sessions.reserve(sid)
 			return
@@ -609,20 +613,6 @@ func (s *Server) recoverSession(sid string) {
 		return
 	}
 	s.store.cleanStraySegments(sid, snap.WALSeq)
-	if snap.WALVer < walFormatVersion {
-		// Upgrade path: append writes v2 commit-marker batches, but the
-		// snapshot still selects the line-granular v1 decoder. If a crash
-		// landed before the first natural rotation, the next recovery
-		// would read the first marker as a torn tail and truncate every
-		// acknowledged batch after it. Rotate now — fresh empty
-		// generation, snapshot stamped wal_ver=2 — before any append.
-		if err := l.rotate(eng.State(), sess.lastSeq); err != nil {
-			log.Printf("service: skipping session %s: upgrading wal format: %v", sid, err)
-			l.close()
-			s.sessions.reserve(sid)
-			return
-		}
-	}
 	sess.engine = eng
 	sess.log = l
 	if err := s.sessions.restore(sess); err != nil {
@@ -643,16 +633,13 @@ func (s *Server) recoverSession(sid string) {
 	s.counters.sessionMoves.Add(int64(st.Moves))
 }
 
-// decodeSessionWAL reads a WAL file's longest valid prefix. With
-// batchAtomic (version-2 WALs, the format this server writes) the
-// prefix is the committed batches — events after the last commit marker
-// belong to an unacknowledged batch and are excluded, and lastSeq is
-// the highest committed idempotency sequence number; without it
-// (version-1 WALs from older servers) recovery is line-granular and
-// lastSeq is 0. A missing file is an empty log (the crash may have
-// landed before the first append — or between snapshot rename and
-// segment creation, where the snapshot alone is the complete state).
-func (s *Server) decodeSessionWAL(path string, in *core.Instance, batchAtomic bool) (events []workload.Request, lastSeq, valid, size int64, err error) {
+// decodeSessionWAL reads a WAL file's committed batches: events after
+// the last commit marker belong to an unacknowledged batch and are
+// excluded, and lastSeq is the highest committed idempotency sequence
+// number. A missing file is an empty log (the crash may have landed
+// before the first append — or between snapshot rename and segment
+// creation, where the snapshot alone is the complete state).
+func (s *Server) decodeSessionWAL(path string, in *core.Instance) (events []workload.Request, lastSeq, valid, size int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, 0, 0, 0, nil
@@ -665,14 +652,9 @@ func (s *Server) decodeSessionWAL(path string, in *core.Instance, batchAtomic bo
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	var seq []workload.Request
-	if batchAtomic {
-		seq, lastSeq, valid, err = stream.DecodeWALBatches(f, in)
-	} else {
-		seq, valid, err = stream.DecodeWAL(f, in)
-	}
+	events, lastSeq, valid, err = stream.DecodeWALBatches(f, in)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	return seq, lastSeq, valid, fi.Size(), nil
+	return events, lastSeq, valid, fi.Size(), nil
 }

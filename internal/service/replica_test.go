@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
@@ -266,80 +265,6 @@ func hangListener(t *testing.T) string {
 	return "http://" + ln.Addr().String()
 }
 
-// TestProbePeersSkipsOpenBreaker: the peer-cache probe fan-out skips
-// peers whose breaker is open instead of burning the per-peer timeout,
-// and the in-flight gauge returns to zero.
-func TestProbePeersSkipsOpenBreaker(t *testing.T) {
-	hang := hangListener(t)
-	s := New(Config{
-		Peers:         []string{hang},
-		PeerCache:     true,
-		PeerTimeout:   2 * time.Second,
-		ProbeInterval: -1,
-	})
-	t.Cleanup(s.Close)
-	br := s.health.For(hang)
-	for i := 0; i < DefaultBreakerThreshold; i++ {
-		br.Failure()
-	}
-	start := time.Now()
-	_, ok := s.probePeers(context.Background(), "deadbeef", SolveOptions{})
-	if ok {
-		t.Fatal("probe of a down peer reported a hit")
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("probe with an open breaker took %v — it should have been skipped", elapsed)
-	}
-	st := s.Stats()
-	if st.PeerProbes != 0 {
-		t.Fatalf("peer_probes=%d, want 0 (skipped, not attempted)", st.PeerProbes)
-	}
-	if st.PeerProbeInflight != 0 {
-		t.Fatalf("peer_probe_inflight=%d, want 0", st.PeerProbeInflight)
-	}
-	if st.PeerHealth[hang] != "open" {
-		t.Fatalf("peer_health[%s]=%q, want open", hang, st.PeerHealth[hang])
-	}
-}
-
-// TestProbePeersFirstHitWins: with one hanging peer and one that
-// answers from cache, the parallel fan-out returns the hit without
-// waiting out the hanging peer's timeout.
-func TestProbePeersFirstHitWins(t *testing.T) {
-	hang := hangListener(t)
-	hit := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/cache/probe" {
-			http.NotFound(w, r)
-			return
-		}
-		json.NewEncoder(w).Encode(CacheProbeResponse{ //nolint:errcheck
-			Found: true, Result: &SolveResult{InstanceID: "cached-elsewhere"}})
-	}))
-	t.Cleanup(hit.Close)
-
-	timeout := 2 * time.Second
-	s := New(Config{
-		Peers:         []string{hang, hit.URL},
-		PeerCache:     true,
-		PeerTimeout:   timeout,
-		ProbeInterval: -1,
-	})
-	t.Cleanup(s.Close)
-	start := time.Now()
-	res, ok := s.probePeers(context.Background(), "deadbeef", SolveOptions{})
-	elapsed := time.Since(start)
-	if !ok || res.InstanceID != "cached-elsewhere" {
-		t.Fatalf("probe hit not returned: ok=%v res=%+v", ok, res)
-	}
-	if elapsed > timeout {
-		t.Fatalf("first hit took %v — it must cancel, not wait for, the hanging peer", elapsed)
-	}
-	st := s.Stats()
-	if st.PeerHits != 1 {
-		t.Fatalf("peer_hits=%d, want 1", st.PeerHits)
-	}
-}
-
 // TestExportAndReplicaList covers the drain tool's read side: exports
 // from the registry and from the snapshot store answer the same bytes,
 // the snapshot listing names what is held, and an unknown id is a 404.
@@ -399,37 +324,5 @@ func TestExportAndReplicaList(t *testing.T) {
 	}
 	if own, err := ca.ReplicaInstances(ctx); err != nil || len(own) != 0 {
 		t.Fatalf("owner replica listing %v (err %v), want empty", own, err)
-	}
-}
-
-// TestCacheProbeEndpoint covers the peer-cache wire call end to end: a
-// probe for an unsolved hash is a miss, a probe after a solve is a hit
-// answered from the cache (peer_served counts it), and the hit result
-// carries the cached placement.
-func TestCacheProbeEndpoint(t *testing.T) {
-	a, _, ca, _ := newReplicatedPair(t)
-	ctx := context.Background()
-	in := pathInstance(t, 9, 4)
-
-	up, err := ca.Upload(ctx, "probed", in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := ca.CacheProbe(ctx, up.Hash, SolveOptions{}); err != nil || res.Found {
-		t.Fatalf("probe before any solve: found=%v err=%v, want a miss", res.Found, err)
-	}
-	want, err := ca.Solve(ctx, up.ID, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ca.CacheProbe(ctx, up.Hash, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || res.Result == nil || !reflect.DeepEqual(res.Result.Placement, want.Placement) {
-		t.Fatalf("probe after solve: %+v, want the cached placement", res)
-	}
-	if got := a.Stats().PeerServed; got != 1 {
-		t.Fatalf("peer_served=%d after a probe hit, want 1", got)
 	}
 }

@@ -65,18 +65,31 @@ func (e *Engine) admit(ctx context.Context) (release func(), err error) {
 		e.counters.sheds.Add(1)
 		return nil, ErrOverloaded
 	}
+	releaseSlot, err := e.slot(ctx)
+	if err != nil {
+		e.counters.queued.Add(-1)
+		e.counters.errors.Add(1)
+		return nil, err
+	}
+	return func() {
+		releaseSlot()
+		e.counters.queued.Add(-1)
+	}, nil
+}
+
+// slot takes a worker slot, waiting until one frees or ctx ends, and
+// returns its release. Unlike admit it never sheds: session epoch
+// closes wait for their re-solve's slot.
+func (e *Engine) slot(ctx context.Context) (release func(), err error) {
 	select {
 	case e.sem <- struct{}{}:
 	case <-ctx.Done():
-		e.counters.queued.Add(-1)
-		e.counters.errors.Add(1)
 		return nil, ctx.Err()
 	}
 	e.counters.inflight.Add(1)
 	return func() {
 		e.counters.inflight.Add(-1)
 		<-e.sem
-		e.counters.queued.Add(-1)
 	}, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -258,14 +260,12 @@ func TestIdempotentRetryAcrossCrash(t *testing.T) {
 	h.Kill()
 }
 
-// TestLegacyWALRecoveryCompat: a data directory written by the
-// line-atomic v1 WAL format (no commit markers, no wal_ver in the
-// snapshot) still recovers — the decoder is chosen per snapshot
-// version, and an un-versioned snapshot selects the legacy path.
-// Recovery must also upgrade the layout on the spot (rotate to a fresh
-// generation with wal_ver=2) before accepting appends: commit-marker
-// batches appended into a still-v1 layout would read as a torn tail on
-// the next crash and silently truncate acknowledged data.
+// TestLegacyWALRecoveryCompat: a data directory holding a session in
+// the line-atomic v1 WAL format (no commit markers, no wal_ver in the
+// snapshot) still starts, but that session is not recovered: recovery
+// reads only the v2 format, skips the v1 session like any other
+// unrecoverable one, and keeps its id reserved so a new session on the
+// same instance never reuses it (and never clobbers its files).
 func TestLegacyWALRecoveryCompat(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -329,45 +329,25 @@ func TestLegacyWALRecoveryCompat(t *testing.T) {
 
 	srv2, err := h.Start()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("server with a v1 session on disk did not start: %v", err)
 	}
 	c2 := serveExisting(t, srv2)
-	st := srv2.Stats()
-	if st.RecoveredSessions != 1 || st.SessionEvents != 16 || st.WALDiscardedBytes != 0 {
-		t.Fatalf("legacy recovery: recovered=%d events=%d discarded=%d", st.RecoveredSessions, st.SessionEvents, st.WALDiscardedBytes)
+	if st := srv2.Stats(); st.Instances != 1 || st.RecoveredSessions != 0 || st.SessionsOpen != 0 {
+		t.Fatalf("v1 recovery: instances=%d recovered=%d open=%d, want 1/0/0", st.Instances, st.RecoveredSessions, st.SessionsOpen)
 	}
-	// No watermark in a v1 layout: sequencing restarts from scratch.
-	if info, err := c2.Session(ctx, sid); err != nil || info.LastSeq != 0 {
-		t.Fatalf("legacy watermark: %+v, %v", info, err)
+	var ae *APIError
+	if _, err := c2.Session(ctx, sid); !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Fatalf("v1 session %s: err=%v, want HTTP 404", sid, err)
 	}
-	// Recovery upgraded the layout in place: the snapshot now names the
-	// v2 format, so future appends and recoveries agree on the decoder.
-	upSnap, err := srv2.store.readSessionSnap(sid)
-	if err != nil || upSnap.WALVer != walFormatVersion {
-		t.Fatalf("snapshot after legacy recovery: wal_ver=%d err=%v, want %d", upSnap.WALVer, err, walFormatVersion)
-	}
-	// Append two sequenced (v2 commit-marker) batches, then crash before
-	// any rotation. Without the upgrade rotate, the next recovery would
-	// decode line-granularly, read batch 1's marker as a torn tail, and
-	// truncate batch 2 away despite both having been acknowledged.
-	tail := driftTrace(24, 16)
-	ingestSeq(t, c2, sid, tail, 8, 1)
-	h.Kill()
-
-	srv3, err := h.Start()
+	fresh, err := c2.OpenSession(ctx, up.ID, SessionConfig{Epoch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c3 := serveExisting(t, srv3)
-	if st := srv3.Stats(); st.RecoveredSessions != 1 || st.SessionEvents != 32 || st.WALDiscardedBytes != 0 {
-		t.Fatalf("recovery after upgrade: recovered=%d events=%d discarded=%d, want 1/32/0", st.RecoveredSessions, st.SessionEvents, st.WALDiscardedBytes)
+	if fresh.SessionID == sid {
+		t.Fatalf("new session reused the skipped v1 session's id %s", sid)
 	}
-	if info, err := c3.Session(ctx, sid); err != nil || info.LastSeq != 2 {
-		t.Fatalf("watermark after upgrade crash: %+v, %v", info, err)
-	}
-	// The acknowledged batches survived: a retry of either dedupes.
-	if r, err := c3.SessionEventsSeq(ctx, sid, 2, tail[8:16]); err != nil || !r.Deduplicated || r.Accepted != 0 {
-		t.Fatalf("retry of upgraded seq 2: %+v, %v", r, err)
+	if _, err := os.Stat(snapPath); err != nil {
+		t.Fatalf("skipped v1 session's snapshot: %v", err)
 	}
 	h.Kill()
 }

@@ -609,3 +609,76 @@ func TestIsInjectedFault(t *testing.T) {
 		t.Fatal("organic error classified as injected")
 	}
 }
+
+// TestSessionSlotWaitCancelAppliesNothing: a batch that will close an
+// epoch, and a flush of a non-empty epoch, take the re-solve's worker
+// slot before anything is journaled or applied. A request whose context
+// ends while it waits for the slot fails with the context's error and
+// applies nothing, so its retry (same seq) applies it and the session
+// ends exactly where an uninterrupted run does.
+func TestSessionSlotWaitCancelAppliesNothing(t *testing.T) {
+	const batch, closer = 8, 6 // seq 6 carries events 40–47 and closes epoch 3
+	evs := driftTrace(24, 244) // 15 epochs of 16, then 4 events left open
+	run := func(cancelWaits bool) SessionStats {
+		srv, c := newTestServer(t, Config{Workers: 1})
+		ctx := context.Background()
+		up, err := c.Upload(ctx, "slot", crashInstance(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sid := info.SessionID
+		// sendCancelled serves one request whose context is already
+		// cancelled while the test holds the only worker slot.
+		sendCancelled := func(path string, body any) *httptest.ResponseRecorder {
+			buf, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cctx, cancel := context.WithCancel(ctx)
+			cancel()
+			req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+sid+path, bytes.NewReader(buf)).WithContext(cctx)
+			rec := httptest.NewRecorder()
+			srv.engine.sem <- struct{}{}
+			srv.Handler().ServeHTTP(rec, req)
+			<-srv.engine.sem
+			return rec
+		}
+		if !cancelWaits {
+			ingestSeq(t, c, sid, evs, batch, 1)
+		} else {
+			ingestSeq(t, c, sid, evs[:(closer-1)*batch], batch, 1)
+			closing := evs[(closer-1)*batch : closer*batch]
+			rec := sendCancelled("/events", SessionEventsRequest{Events: closing, Seq: closer})
+			if rec.Code != 499 {
+				t.Errorf("epoch-closing batch with a cancelled slot wait: status %d, want 499: %s", rec.Code, rec.Body)
+			}
+			resp, err := c.SessionEventsSeq(ctx, sid, closer, closing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Deduplicated || len(resp.Epochs) != 1 {
+				t.Errorf("retry of seq %d: %+v; want it applied, closing one epoch", closer, resp)
+			}
+			ingestSeq(t, c, sid, evs[closer*batch:], batch, closer+1)
+			if rec := sendCancelled("/flush", nil); rec.Code != 499 {
+				t.Errorf("flush with a cancelled slot wait: status %d, want 499: %s", rec.Code, rec.Body)
+			}
+		}
+		resp, err := c.SessionFlush(ctx, sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Epochs) != 1 || resp.Epochs[0].Events != 4 {
+			t.Errorf("flush closed %+v; want one epoch of the 4 open events", resp.Epochs)
+		}
+		return resp.Stats
+	}
+	want, got := run(false), run(true)
+	if got != want {
+		t.Fatalf("session after cancelled slot waits: %+v; uninterrupted: %+v", got, want)
+	}
+}

@@ -46,7 +46,6 @@ var ErrInternal = errors.New("service: internal error")
 //	POST   /v1/sessions/{id}/events   stream request events into a session
 //	POST   /v1/sessions/{id}/flush    close the open partial epoch
 //	GET    /v1/sessions/{id}/placement  current adaptive placement + stats
-//	POST   /v1/cache/probe            peer solve-cache probe {hash, options}
 //	PUT    /v1/replica/instances/{id} store a read-only instance snapshot
 //	DELETE /v1/replica/instances/{id} drop a snapshot (idempotent)
 //	GET    /v1/replica/instances      list held snapshots
@@ -98,7 +97,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/sessions/{id}/events", s.handleSessionEvents)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/flush", s.handleSessionFlush)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/placement", s.handleSessionPlacement)
-	s.mux.HandleFunc("POST /v1/cache/probe", s.handleCacheProbe)
 	s.mux.HandleFunc("PUT /v1/replica/instances/{id}", s.handleReplicaPush)
 	s.mux.HandleFunc("DELETE /v1/replica/instances/{id}", s.handleReplicaDelete)
 	s.mux.HandleFunc("GET /v1/replica/instances", s.handleReplicaList)
@@ -166,8 +164,8 @@ func (s *Server) Engine() *Engine { return s.engine }
 
 // PeerHealth returns the server's per-peer breaker tracker, nil on a
 // standalone server. The forwarding proxy shares it (Proxy.UseHealth)
-// so the proxy and the peer-probe path agree on which replicas are
-// down.
+// so the proxy and the server's own peer clients agree on which
+// replicas are down.
 func (s *Server) PeerHealth() *PeerHealth { return s.health }
 
 // Stats snapshots the service counters.
@@ -236,11 +234,6 @@ func (s *Server) Stats() Stats {
 		DeadlineRejects:      s.counters.deadlineRejects.Load(),
 		DedupedBatches:       s.counters.dedupedBatches.Load(),
 		Peers:                s.livePeers(),
-		PeerCache:            s.cfg.PeerCache,
-		PeerProbes:           s.counters.peerProbes.Load(),
-		PeerHits:             s.counters.peerHits.Load(),
-		PeerServed:           s.counters.peerServed.Load(),
-		PeerProbeInflight:    s.counters.peerProbeInflight.Load(),
 		PeerHealth:           s.peerHealthStates(),
 		BreakerOpens:         s.breakerOpens(),
 		ReplicaInstances:     s.replicas.len(),

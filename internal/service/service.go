@@ -111,17 +111,12 @@ type Config struct {
 	Peers []string
 	// SelfURL is this replica's own advertised base URL; it keys the
 	// replica in /statz?cluster=1 and is filtered out of Peers so a
-	// replica never probes itself.
+	// replica never gossips with itself.
 	SelfURL string
-	// PeerCache lets a solve that misses the local result cache probe the
-	// peers' caches (POST /v1/cache/probe) before running the solver, so
-	// identical solves collapse cluster-wide, not just per process. The
-	// probe runs inside the local singleflight leader: concurrent local
-	// duplicates still cost one probe round. Off by default.
-	PeerCache bool
-	// PeerTimeout caps one peer cache probe or /statz gossip fetch.
-	// 0 selects DefaultPeerTimeout. Probes are best-effort: a slow or
-	// dead peer costs at most this long, never a failed solve.
+	// PeerTimeout caps one /statz gossip fetch, /readyz probe or
+	// successor push. 0 selects DefaultPeerTimeout. All three are
+	// best-effort: a slow or dead peer costs at most this long, never a
+	// failed request.
 	PeerTimeout time.Duration
 	// SuccessorURL is the replica that holds read-only snapshots of this
 	// replica's instances for degraded failover reads: every accepted
@@ -233,11 +228,6 @@ type counters struct {
 	recoveredSessions atomic.Int64 // sessions rebuilt from snapshot+WAL at startup
 	walDiscarded      atomic.Int64 // torn WAL tail bytes discarded at recovery
 
-	peerProbes atomic.Int64 // cache probes this replica sent to peers
-	peerHits   atomic.Int64 // probes that found a peer's cached result
-	peerServed atomic.Int64 // probes from peers this replica answered with a result
-
-	peerProbeInflight atomic.Int64 // cache probes to peers in flight right now
 	failoverReads     atomic.Int64 // degraded reads served from the replica snapshot store
 	replicaPushes     atomic.Int64 // instance snapshots pushed to the successor
 	replicaPushErrors atomic.Int64 // failed successor pushes (best-effort, logged)
@@ -362,22 +352,8 @@ type Stats struct {
 	RetriesObserved int64 `json:"retries_observed"`
 	DeadlineRejects int64 `json:"deadline_rejects"`
 	DedupedBatches  int64 `json:"deduped_batches"`
-	// Peers is the live peer count (drained members drop out) and PeerCache whether the
-	// cluster-wide solve-cache probe is enabled. PeerProbes / PeerHits
-	// count cache probes this replica SENT to peers (and how many found a
-	// result there); PeerServed counts probes FROM peers this replica
-	// answered with a cached result. A solve answered on replica A and
-	// probed from replica B shows as peer_hits=1 on B and peer_served=1
-	// on A, with solves_total summing to 1 cluster-wide (see
-	// docs/cluster.md).
-	Peers      int   `json:"peers"`
-	PeerCache  bool  `json:"peer_cache"`
-	PeerProbes int64 `json:"peer_probes"`
-	PeerHits   int64 `json:"peer_hits"`
-	PeerServed int64 `json:"peer_served"`
-	// PeerProbeInflight is the number of peer cache probes in flight
-	// right now (the probe fan-out is parallel with bounded concurrency).
-	PeerProbeInflight int64 `json:"peer_probe_inflight"`
+	// Peers is the live peer count (drained members drop out).
+	Peers int `json:"peers"`
 	// PeerHealth maps each peer URL to its circuit breaker state
 	// (closed / open / half-open); BreakerOpens counts every breaker
 	// open transition since startup. Absent when the replica has no
@@ -411,18 +387,15 @@ type ClusterStats struct {
 }
 
 // ClusterTotals sums the counters that make cluster-wide behavior
-// legible: whether identical solves collapsed (SolvesTotal vs
-// CacheHits+PeerHits), how much ingest the cluster absorbed, and how
-// much it shed.
+// legible: whether identical solves collapsed on their owner
+// (SolvesTotal vs CacheHits), how much ingest the cluster absorbed, and
+// how much it shed.
 type ClusterTotals struct {
 	Replicas      int   `json:"replicas"`
 	Instances     int   `json:"instances"`
 	SolvesTotal   int64 `json:"solves_total"`
 	CacheHits     int64 `json:"cache_hits"`
 	CacheMisses   int64 `json:"cache_misses"`
-	PeerProbes    int64 `json:"peer_probes"`
-	PeerHits      int64 `json:"peer_hits"`
-	PeerServed    int64 `json:"peer_served"`
 	SessionsOpen  int   `json:"sessions_open"`
 	SessionEvents int64 `json:"session_events"`
 	SessionEpochs int64 `json:"session_epochs"`

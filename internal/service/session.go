@@ -79,10 +79,9 @@ type Session struct {
 	mu       sync.Mutex
 	engine   *stream.Engine
 	instance *core.Instance
-	objIndex map[string]int  // wire object name → index, immutable
-	reqCtx   context.Context // current request's context; only touched under mu
-	log      *sessionLog     // nil: server has no data dir
-	lastSeq  int64           // highest applied client sequence number (idempotent ingest)
+	objIndex map[string]int // wire object name → index, immutable
+	log      *sessionLog    // nil: server has no data dir
+	lastSeq  int64          // highest applied client sequence number (idempotent ingest)
 }
 
 // SessionRequest is the body of POST /v1/sessions.
@@ -346,9 +345,8 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		InstanceID: info.ID,
 		instance:   in,
 		objIndex:   stream.ObjectIndex(in),
+		engine:     stream.New(in, cfg),
 	}
-	cfg.SolveGate = s.sessionGate(sess)
-	sess.engine = stream.New(in, cfg)
 	// Each epoch quantises an object's estimated rates, which sum to at
 	// most one per event, into at most Horizon requests plus one per node
 	// from rounding; the re-solves must pass the uploads' fee bound.
@@ -375,32 +373,6 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	s.counters.sessionsOpened.Add(1)
 	writeJSON(w, http.StatusCreated, sess.info())
-}
-
-// sessionGate wraps a session's epoch re-solves in the engine's
-// worker-pool semaphore, so sessions compete with ordinary solves for
-// the configured slots instead of bypassing them. The wait is
-// cancellable by the current request's context: a client gone mid-epoch
-// skips the re-placement (the engine retries at the next epoch close)
-// instead of holding the session lock until a slot frees up.
-func (s *Server) sessionGate(sess *Session) func(solve func()) {
-	return func(solve func()) {
-		ctx := sess.reqCtx // gate runs under sess.mu, where reqCtx is set
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		select {
-		case s.engine.sem <- struct{}{}:
-		case <-ctx.Done():
-			return
-		}
-		s.counters.inflight.Add(1)
-		defer func() {
-			s.counters.inflight.Add(-1)
-			<-s.engine.sem
-		}()
-		solve()
-	}
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
@@ -467,8 +439,6 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sess.reqCtx = r.Context()
-	defer func() { sess.reqCtx = nil }()
 	if req.Seq > 0 && req.Seq <= sess.lastSeq {
 		// Idempotent retry: this sequence number (or a later one) was
 		// already applied and acknowledged — or the response carrying the
@@ -515,56 +485,10 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if sess.log != nil {
-		// Journal the expanded batch and make it durable BEFORE the first
-		// Observe: an acked batch can always be replayed, and a crash
-		// between sync and apply just replays the full WAL to the same
-		// state (the client never saw an ack, and ingestion stays
-		// all-or-nothing either way). Count lines are expanded to one
-		// event per line so a torn tail costs at most one event's bytes.
-		lines := make([][]byte, 0, total)
-		for i, ev := range req.Events {
-			line, err := json.Marshal(stream.EventJSON{Obj: ev.Obj, Node: ev.Node, Write: ev.Write})
-			if err != nil {
-				writeError(w, fmt.Errorf("%w: events[%d]: %v", ErrInternal, i, err))
-				return
-			}
-			line = append(line, '\n')
-			count := ev.Count
-			if count <= 0 {
-				count = 1
-			}
-			for k := 0; k < count; k++ {
-				lines = append(lines, line)
-			}
-		}
-		if err := sess.log.append(lines, req.Seq); err != nil {
-			// The log rolled itself back to the durable prefix; the engine
-			// never saw the batch, so memory and disk still agree.
-			s.counters.persistErrors.Add(1)
-			writeError(w, fmt.Errorf("%w: %v", ErrInternal, err))
-			return
-		}
-	}
-	resp := SessionEventsResponse{}
-	for i, ev := range req.Events {
-		count := ev.Count
-		if count <= 0 {
-			count = 1
-		}
-		for k := 0; k < count; k++ {
-			rep, err := sess.engine.Observe(workload.Request{Obj: objOf[i], V: ev.Node, Write: ev.Write})
-			if err != nil {
-				// Unreachable after validation above; surface as internal.
-				writeError(w, fmt.Errorf("%w: events[%d]: %v", ErrInternal, i, err))
-				return
-			}
-			resp.Accepted++
-			s.counters.sessionEvents.Add(1)
-			if rep != nil {
-				resp.Epochs = append(resp.Epochs, s.recordEpoch(rep))
-			}
-		}
+	resp, err := s.applyBatch(r.Context(), sess, req, objOf, total)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	if req.Seq > 0 {
 		sess.lastSeq = req.Seq
@@ -582,6 +506,71 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Stats = sessionStats(sess.engine.Stats())
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// applyBatch journals a validated batch of total expanded events and
+// feeds it to the session's engine. Called with sess.mu held. A batch
+// that will close an epoch first takes the re-solve's worker slot and
+// holds it until the last Observe returns; a cancelled or expired wait
+// returns the context's error with nothing journaled or applied, so
+// every applied epoch re-solves and a retry applies the batch.
+func (s *Server) applyBatch(ctx context.Context, sess *Session, req SessionEventsRequest, objOf []int, total int) (SessionEventsResponse, error) {
+	var resp SessionEventsResponse
+	if sess.engine.Pending()+total >= sess.engine.Config().Epoch {
+		release, err := s.engine.slot(ctx)
+		if err != nil {
+			return resp, err
+		}
+		defer release()
+	}
+	if sess.log != nil {
+		// Journal the expanded batch and make it durable BEFORE the first
+		// Observe: an acked batch can always be replayed, and a crash
+		// between sync and apply just replays the full WAL to the same
+		// state (the client never saw an ack, and ingestion stays
+		// all-or-nothing either way). Count lines are expanded to one
+		// event per line so a torn tail costs at most one event's bytes.
+		lines := make([][]byte, 0, total)
+		for i, ev := range req.Events {
+			line, err := json.Marshal(stream.EventJSON{Obj: ev.Obj, Node: ev.Node, Write: ev.Write})
+			if err != nil {
+				return resp, fmt.Errorf("%w: events[%d]: %v", ErrInternal, i, err)
+			}
+			line = append(line, '\n')
+			count := ev.Count
+			if count <= 0 {
+				count = 1
+			}
+			for k := 0; k < count; k++ {
+				lines = append(lines, line)
+			}
+		}
+		if err := sess.log.append(lines, req.Seq); err != nil {
+			// The log rolled itself back to the durable prefix; the engine
+			// never saw the batch, so memory and disk still agree.
+			s.counters.persistErrors.Add(1)
+			return resp, fmt.Errorf("%w: %v", ErrInternal, err)
+		}
+	}
+	for i, ev := range req.Events {
+		count := ev.Count
+		if count <= 0 {
+			count = 1
+		}
+		for k := 0; k < count; k++ {
+			rep, err := sess.engine.Observe(workload.Request{Obj: objOf[i], V: ev.Node, Write: ev.Write})
+			if err != nil {
+				// Unreachable after validation; surface as internal.
+				return resp, fmt.Errorf("%w: events[%d]: %v", ErrInternal, i, err)
+			}
+			resp.Accepted++
+			s.counters.sessionEvents.Add(1)
+			if rep != nil {
+				resp.Epochs = append(resp.Epochs, s.recordEpoch(rep))
+			}
+		}
+	}
+	return resp, nil
 }
 
 // recordEpoch counts a closed epoch into the service counters and
@@ -609,10 +598,17 @@ func (s *Server) handleSessionFlush(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sess.reqCtx = r.Context()
-	defer func() { sess.reqCtx = nil }()
 	resp := SessionEventsResponse{}
-	if rep := sess.engine.Flush(); rep != nil {
+	if sess.engine.Pending() > 0 {
+		// Take the re-solve's worker slot first: a cancelled or expired
+		// wait closes nothing.
+		release, err := s.engine.slot(r.Context())
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		rep := sess.engine.Flush()
+		release()
 		resp.Epochs = append(resp.Epochs, s.recordEpoch(rep))
 	}
 	if sess.log != nil {

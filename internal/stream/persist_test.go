@@ -192,66 +192,6 @@ func TestRestoreValidation(t *testing.T) {
 	}
 }
 
-// TestDecodeWALPrefixSemantics pins DecodeWAL's contract: longest valid
-// newline-terminated prefix, content errors end the prefix silently,
-// comments and blanks count as padding.
-func TestDecodeWALPrefixSemantics(t *testing.T) {
-	in := testInstance(t, 3, 2)
-	name := in.Objects[0].Name
-	line1 := `{"obj":"` + name + `","node":1}` + "\n"
-	line2 := `{"obj":"` + name + `","node":2,"write":true}` + "\n"
-
-	for _, tc := range []struct {
-		name      string
-		data      string
-		events    int
-		valid     int64
-		wantWrite bool
-	}{
-		{"clean", line1 + line2, 2, int64(len(line1) + len(line2)), true},
-		{"torn tail", line1 + line2[:len(line2)-5], 1, int64(len(line1)), false},
-		{"unterminated", line1[:len(line1)-1], 0, 0, false},
-		{"malformed line", line1 + "{garbage\n" + line2, 1, int64(len(line1)), false},
-		{"unknown object", line1 + `{"obj":"nope","node":0}` + "\n" + line2, 1, int64(len(line1)), false},
-		{"node out of range", line1 + `{"obj":"` + name + `","node":9999}` + "\n", 1, int64(len(line1)), false},
-		{"trailing garbage on line", line1 + `{"obj":"` + name + `","node":2} extra` + "\n", 1, int64(len(line1)), false},
-		{"comment padding", "# header\n\n" + line1, 1, int64(len("# header\n\n" + line1)), false},
-		{"comment after tear", line1 + "#partial-comment-no-newline", 1, int64(len(line1)), false},
-		{"empty", "", 0, 0, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			seq, valid, err := DecodeWAL(strings.NewReader(tc.data), in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seq) != tc.events || valid != tc.valid {
-				t.Fatalf("got %d events, %d valid bytes; want %d, %d", len(seq), valid, tc.events, tc.valid)
-			}
-			if tc.events == 2 && seq[1].Write != tc.wantWrite {
-				t.Fatalf("second event write=%v, want %v", seq[1].Write, tc.wantWrite)
-			}
-			// Re-decoding the valid prefix alone must reproduce the result.
-			seq2, valid2, err := DecodeWAL(strings.NewReader(tc.data[:tc.valid]), in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if valid2 != tc.valid || !reflect.DeepEqual(seq, seq2) {
-				t.Fatalf("prefix re-decode diverged: %d/%d bytes, %d/%d events", valid2, tc.valid, len(seq2), len(seq))
-			}
-		})
-	}
-
-	// Count expansion: a count line expands in the decoded sequence.
-	data := `{"obj":"` + name + `","node":1,"count":3}` + "\n"
-	seq, valid, err := DecodeWAL(strings.NewReader(data), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != 3 || valid != int64(len(data)) {
-		t.Fatalf("count expansion: %d events, %d valid", len(seq), valid)
-	}
-}
-
 // TestDecodeWALBatchesSemantics pins the v2 batch-atomic contract: a
 // batch counts only when its commit marker is intact and counts its
 // expanded events exactly; everything after the last good marker is an
@@ -284,6 +224,14 @@ func TestDecodeWALBatchesSemantics(t *testing.T) {
 		{"negative n marker", e1 + `{"seq":1,"n":-1}` + "\n", 0, 0, 0},
 		{"empty batch marker", m(3, 0) + e1 + m(4, 1), 1, 4, int64(len(m(3, 0) + e1 + m(4, 1)))},
 		{"seq watermark is max", e1 + m(9, 1) + e2 + m(2, 1), 2, 9, int64(len(e1 + m(9, 1) + e2 + m(2, 1)))},
+		{"torn event line", e1 + m(1, 1) + e2[:len(e2)-5], 1, 1, int64(len(e1 + m(1, 1)))},
+		{"unterminated marker", e1 + m(1, 1)[:len(m(1, 1))-1], 0, 0, 0},
+		{"unknown object", e1 + m(1, 1) + `{"obj":"nope","node":0}` + "\n" + m(2, 1), 1, 1, int64(len(e1 + m(1, 1)))},
+		{"node out of range", e1 + m(1, 1) + `{"obj":"` + name + `","node":9999}` + "\n" + m(2, 1), 1, 1, int64(len(e1 + m(1, 1)))},
+		{"trailing garbage on line", e1 + m(1, 1) + `{"obj":"` + name + `","node":2} extra` + "\n" + m(2, 1), 1, 1, int64(len(e1 + m(1, 1)))},
+		{"padding between batches", e1 + m(1, 1) + "# note\n\n" + e2 + m(2, 1), 2, 2, int64(len(e1 + m(1, 1) + "# note\n\n" + e2 + m(2, 1)))},
+		{"padding after last marker", e1 + m(1, 1) + "# note\n\n", 1, 1, int64(len(e1 + m(1, 1)))},
+		{"comment after tear", e1 + m(1, 1) + "#partial-comment-no-newline", 1, 1, int64(len(e1 + m(1, 1)))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seq, lastSeq, valid, err := DecodeWALBatches(strings.NewReader(tc.data), in)
@@ -305,5 +253,11 @@ func TestDecodeWALBatchesSemantics(t *testing.T) {
 					valid2, tc.valid, lastSeq2, tc.lastSeq, len(seq2), len(seq))
 			}
 		})
+	}
+
+	// The write flag survives decoding.
+	seq, _, _, err := DecodeWALBatches(strings.NewReader(e1+e2+m(5, 2)), in)
+	if err != nil || len(seq) != 2 || seq[0].Write || !seq[1].Write {
+		t.Fatalf("write flags: %+v, %v; want a read then a write", seq, err)
 	}
 }

@@ -80,13 +80,11 @@ type Config struct {
 	// byte-identical to serial.
 	Solve core.Options
 	// SolveGate, when non-nil, wraps each epoch close's re-solve and
-	// re-placement work. The placement service installs the engine's
-	// worker-pool semaphore here so session re-solves compete with
-	// ordinary solves for the configured slots instead of bypassing
-	// them. A gate may decline to call solve (e.g. the waiting request
-	// was cancelled): the epoch then closes without re-placement, and
-	// the next close re-solves as usual — the unchanged-estimate check
-	// compares against the last *completed* solve.
+	// re-placement work, e.g. to time it; it must call solve exactly
+	// once. A gate that skips solve closes the epoch without
+	// re-placement, so the session's state then depends on the gate.
+	// The placement service installs none: it takes a worker slot
+	// before it applies a batch that will close an epoch.
 	SolveGate func(solve func())
 }
 
@@ -273,6 +271,10 @@ func New(in *core.Instance, cfg Config) *Engine {
 
 // Config returns the engine's resolved configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// Pending returns the number of events in the open epoch; the epoch
+// closes when it reaches Config().Epoch.
+func (e *Engine) Pending() int { return e.fill }
 
 // Stats snapshots the run so far. Storage is normalised pro rata over the
 // events observed so far, so Total is comparable to online accounting on

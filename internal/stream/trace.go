@@ -99,46 +99,6 @@ func ReadTrace(r io.Reader, in *core.Instance) ([]workload.Request, error) {
 	return seq, nil
 }
 
-// DecodeWAL parses a session write-ahead log — the same JSONL event
-// format ReadTrace consumes — but tolerates a torn tail instead of
-// failing on it: it returns the events of the longest valid prefix and
-// that prefix's byte length. A prefix line is valid when it is
-// newline-terminated and parses and validates cleanly (blank and '#'
-// comment lines count as valid padding); the first torn, malformed, or
-// unresolvable line ends the prefix, and everything from it on is
-// excluded from both return values so the caller can truncate the file
-// there and log the discarded tail. The error is non-nil only for I/O
-// failures of r itself, never for content.
-func DecodeWAL(r io.Reader, in *core.Instance) (seq []workload.Request, valid int64, err error) {
-	idx := ObjectIndex(in)
-	br := bufio.NewReader(r)
-	for {
-		line, rerr := br.ReadString('\n')
-		if rerr == io.EOF {
-			// A final chunk without its newline is a torn write: exclude it.
-			return seq, valid, nil
-		}
-		if rerr != nil {
-			return seq, valid, fmt.Errorf("stream: reading wal: %w", rerr)
-		}
-		text := strings.TrimSpace(line)
-		if text != "" && !strings.HasPrefix(text, "#") {
-			ev, err := decodeEventLine(text)
-			if err != nil {
-				return seq, valid, nil
-			}
-			req, count, err := resolveEvent(ev, idx, in.N())
-			if err != nil {
-				return seq, valid, nil
-			}
-			for k := 0; k < count; k++ {
-				seq = append(seq, req)
-			}
-		}
-		valid += int64(len(line))
-	}
-}
-
 // WALCommit is a batch-commit marker line in a version-2 session WAL:
 // written after the N event lines of one ingest batch, carrying the
 // client's idempotency sequence number (0 for unsequenced batches). Its

@@ -56,8 +56,9 @@ func boundedCounts(data []byte) bool {
 	return sc.Err() == nil
 }
 
-// addTraceSeeds registers the shared seed inputs for both decoder fuzz
-// targets; the checked-in corpora under testdata/fuzz extend them.
+// addTraceSeeds registers the shared seed inputs for the trace and WAL
+// decoder fuzz targets; the checked-in corpus under testdata/fuzz
+// extends FuzzReadTrace's.
 func addTraceSeeds(f *testing.F) {
 	seeds := []string{
 		"",
@@ -114,57 +115,12 @@ func FuzzReadTrace(f *testing.F) {
 	})
 }
 
-// FuzzDecodeWAL: arbitrary bytes must never panic the WAL decoder or
-// yield an error (content problems end the prefix instead), the valid
-// prefix must be bounded by the input, and re-decoding exactly that
-// prefix must reproduce the result — the property WAL truncation after a
-// torn write relies on.
-func FuzzDecodeWAL(f *testing.F) {
-	addTraceSeeds(f)
-	in := fuzzInstance()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !boundedCounts(data) {
-			t.Skip("unbounded count expansion")
-		}
-		seq, valid, err := DecodeWAL(bytes.NewReader(data), in)
-		if err != nil {
-			t.Fatalf("in-memory decode returned I/O error: %v", err)
-		}
-		if valid < 0 || valid > int64(len(data)) {
-			t.Fatalf("valid prefix %d outside [0,%d]", valid, len(data))
-		}
-		if valid > 0 && data[valid-1] != '\n' {
-			t.Fatalf("valid prefix of %d bytes not newline-terminated", valid)
-		}
-		for _, r := range seq {
-			if r.Obj < 0 || r.Obj >= len(in.Objects) || r.V < 0 || r.V >= in.N() {
-				t.Fatalf("decoded out-of-range event %+v", r)
-			}
-		}
-		seq2, valid2, err := DecodeWAL(bytes.NewReader(data[:valid]), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if valid2 != valid || !reflect.DeepEqual(seq, seq2) {
-			t.Fatalf("prefix re-decode diverged: %d/%d bytes, %d/%d events",
-				valid2, valid, len(seq2), len(seq))
-		}
-		// The prefix must also be a valid strict trace: DecodeWAL accepts
-		// exactly what ReadTrace would, up to the tear.
-		seq3, err := ReadTrace(bytes.NewReader(data[:valid]), in)
-		if err != nil {
-			t.Fatalf("valid WAL prefix rejected by ReadTrace: %v", err)
-		}
-		if !reflect.DeepEqual(seq, seq3) {
-			t.Fatalf("WAL prefix decode disagrees with ReadTrace: %d vs %d events", len(seq), len(seq3))
-		}
-	})
-}
-
-// FuzzDecodeWALBatches: the batch-atomic decoder shares DecodeWAL's
-// robustness contract — no panics, no content errors, bounded
-// newline-terminated prefix — plus the commit invariant: the committed
-// prefix alone re-decodes to the same events and sequence watermark.
+// FuzzDecodeWALBatches: arbitrary bytes must never panic the session WAL
+// decoder or yield an error (content problems end the committed prefix
+// instead), the committed prefix must be bounded by the input and
+// newline-terminated, and re-decoding exactly that prefix must reproduce
+// the same events and sequence watermark — the property WAL truncation
+// after a torn write relies on.
 func FuzzDecodeWALBatches(f *testing.F) {
 	addTraceSeeds(f)
 	f.Add([]byte("{\"obj\":\"o0\",\"node\":1}\n{\"seq\":1,\"n\":1}\n"))
