@@ -192,6 +192,60 @@ func TestRestoreValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeWALPrefixSemantics pins the session WAL decoder's line-level
+// prefix contract, with every event in a batch of its own: the first torn,
+// malformed or unresolvable line ends the committed prefix at the marker
+// before it, content errors end it silently, and comments and blanks count
+// as padding. TestDecodeWALBatchesSemantics covers the batch framing.
+func TestDecodeWALPrefixSemantics(t *testing.T) {
+	in := testInstance(t, 3, 2)
+	name := in.Objects[0].Name
+	e2 := `{"obj":"` + name + `","node":2,"write":true}` + "\n"
+	m2 := `{"seq":2,"n":1}` + "\n"
+	b1 := `{"obj":"` + name + `","node":1}` + "\n" + `{"seq":1,"n":1}` + "\n"
+	b2 := e2 + m2
+
+	for _, tc := range []struct {
+		name      string
+		data      string
+		events    int
+		valid     int64
+		wantWrite bool
+	}{
+		{"clean", b1 + b2, 2, int64(len(b1 + b2)), true},
+		{"torn tail", b1 + e2[:len(e2)-5], 1, int64(len(b1)), false},
+		{"unterminated", b1[:len(b1)-1], 0, 0, false},
+		{"malformed line", b1 + e2 + "{garbage\n" + m2, 1, int64(len(b1)), false},
+		{"unknown object", b1 + `{"obj":"nope","node":0}` + "\n" + m2, 1, int64(len(b1)), false},
+		{"node out of range", b1 + `{"obj":"` + name + `","node":9999}` + "\n" + m2, 1, int64(len(b1)), false},
+		{"trailing garbage on line", b1 + `{"obj":"` + name + `","node":2} extra` + "\n" + m2, 1, int64(len(b1)), false},
+		{"comment padding", "# header\n\n" + b1 + "# note\n" + b2, 2, int64(len("# header\n\n" + b1 + "# note\n" + b2)), true},
+		{"comment after tear", b1 + "#partial-comment-no-newline", 1, int64(len(b1)), false},
+		{"empty", "", 0, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq, _, valid, err := DecodeWALBatches(strings.NewReader(tc.data), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seq) != tc.events || valid != tc.valid {
+				t.Fatalf("got %d events, %d valid bytes; want %d, %d", len(seq), valid, tc.events, tc.valid)
+			}
+			if tc.events == 2 && (seq[0].Write || seq[1].Write != tc.wantWrite) {
+				t.Fatalf("write flags %v, %v; want false, %v", seq[0].Write, seq[1].Write, tc.wantWrite)
+			}
+			// Re-decoding the valid prefix alone must reproduce the result.
+			seq2, _, valid2, err := DecodeWALBatches(strings.NewReader(tc.data[:tc.valid]), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if valid2 != tc.valid || !reflect.DeepEqual(seq, seq2) {
+				t.Fatalf("prefix re-decode diverged: %d/%d bytes, %d/%d events", valid2, tc.valid, len(seq2), len(seq))
+			}
+		})
+	}
+}
+
 // TestDecodeWALBatchesSemantics pins the v2 batch-atomic contract: a
 // batch counts only when its commit marker is intact and counts its
 // expanded events exactly; everything after the last good marker is an
@@ -224,14 +278,7 @@ func TestDecodeWALBatchesSemantics(t *testing.T) {
 		{"negative n marker", e1 + `{"seq":1,"n":-1}` + "\n", 0, 0, 0},
 		{"empty batch marker", m(3, 0) + e1 + m(4, 1), 1, 4, int64(len(m(3, 0) + e1 + m(4, 1)))},
 		{"seq watermark is max", e1 + m(9, 1) + e2 + m(2, 1), 2, 9, int64(len(e1 + m(9, 1) + e2 + m(2, 1)))},
-		{"torn event line", e1 + m(1, 1) + e2[:len(e2)-5], 1, 1, int64(len(e1 + m(1, 1)))},
-		{"unterminated marker", e1 + m(1, 1)[:len(m(1, 1))-1], 0, 0, 0},
-		{"unknown object", e1 + m(1, 1) + `{"obj":"nope","node":0}` + "\n" + m(2, 1), 1, 1, int64(len(e1 + m(1, 1)))},
-		{"node out of range", e1 + m(1, 1) + `{"obj":"` + name + `","node":9999}` + "\n" + m(2, 1), 1, 1, int64(len(e1 + m(1, 1)))},
-		{"trailing garbage on line", e1 + m(1, 1) + `{"obj":"` + name + `","node":2} extra` + "\n" + m(2, 1), 1, 1, int64(len(e1 + m(1, 1)))},
-		{"padding between batches", e1 + m(1, 1) + "# note\n\n" + e2 + m(2, 1), 2, 2, int64(len(e1 + m(1, 1) + "# note\n\n" + e2 + m(2, 1)))},
 		{"padding after last marker", e1 + m(1, 1) + "# note\n\n", 1, 1, int64(len(e1 + m(1, 1)))},
-		{"comment after tear", e1 + m(1, 1) + "#partial-comment-no-newline", 1, 1, int64(len(e1 + m(1, 1)))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			seq, lastSeq, valid, err := DecodeWALBatches(strings.NewReader(tc.data), in)
@@ -253,11 +300,5 @@ func TestDecodeWALBatchesSemantics(t *testing.T) {
 					valid2, tc.valid, lastSeq2, tc.lastSeq, len(seq2), len(seq))
 			}
 		})
-	}
-
-	// The write flag survives decoding.
-	seq, _, _, err := DecodeWALBatches(strings.NewReader(e1+e2+m(5, 2)), in)
-	if err != nil || len(seq) != 2 || seq[0].Write || !seq[1].Write {
-		t.Fatalf("write flags: %+v, %v; want a read then a write", seq, err)
 	}
 }

@@ -57,8 +57,8 @@ func boundedCounts(data []byte) bool {
 }
 
 // addTraceSeeds registers the shared seed inputs for the trace and WAL
-// decoder fuzz targets; the checked-in corpus under testdata/fuzz
-// extends FuzzReadTrace's.
+// decoder fuzz targets; the checked-in corpora under testdata/fuzz
+// extend them.
 func addTraceSeeds(f *testing.F) {
 	seeds := []string{
 		"",
@@ -115,6 +115,54 @@ func FuzzReadTrace(f *testing.F) {
 	})
 }
 
+// addWALSeeds registers the shared seeds plus two session WAL inputs
+// whose batches commit: one single-event batch, and a count-expanded
+// batch followed by an empty one.
+func addWALSeeds(f *testing.F) {
+	addTraceSeeds(f)
+	f.Add([]byte("{\"obj\":\"obj\",\"node\":1}\n{\"seq\":1,\"n\":1}\n"))
+	f.Add([]byte("{\"obj\":\"obj\",\"node\":1,\"count\":2}\n{\"seq\":3,\"n\":2}\n{\"seq\":4,\"n\":0}\n"))
+}
+
+// FuzzDecodeWAL: a session WAL's event lines are the trace format, so the
+// committed prefix with its commit markers dropped must be a strict trace
+// that ReadTrace accepts and decodes to exactly the events
+// DecodeWALBatches returned — no committed event is lost, duplicated or
+// read differently, and no marker contributes one.
+func FuzzDecodeWAL(f *testing.F) {
+	addWALSeeds(f)
+	in := fuzzInstance()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !boundedCounts(data) {
+			t.Skip("unbounded count expansion")
+		}
+		seq, _, valid, err := DecodeWALBatches(bytes.NewReader(data), in)
+		if err != nil {
+			t.Fatalf("in-memory decode returned I/O error: %v", err)
+		}
+		if valid < 0 || valid > int64(len(data)) {
+			t.Fatalf("valid prefix %d outside [0,%d]", valid, len(data))
+		}
+		var events bytes.Buffer
+		for _, line := range bytes.SplitAfter(data[:valid], []byte("\n")) {
+			text := strings.TrimSpace(string(line))
+			if _, everr := decodeEventLine(text); everr != nil {
+				if _, cerr := decodeCommitLine(text); cerr == nil {
+					continue
+				}
+			}
+			events.Write(line)
+		}
+		trace, err := ReadTrace(&events, in)
+		if err != nil {
+			t.Fatalf("committed WAL events rejected by ReadTrace: %v", err)
+		}
+		if len(seq) != len(trace) || (len(seq) > 0 && !reflect.DeepEqual(seq, trace)) {
+			t.Fatalf("WAL decode disagrees with ReadTrace: %d vs %d events", len(seq), len(trace))
+		}
+	})
+}
+
 // FuzzDecodeWALBatches: arbitrary bytes must never panic the session WAL
 // decoder or yield an error (content problems end the committed prefix
 // instead), the committed prefix must be bounded by the input and
@@ -122,9 +170,7 @@ func FuzzReadTrace(f *testing.F) {
 // the same events and sequence watermark — the property WAL truncation
 // after a torn write relies on.
 func FuzzDecodeWALBatches(f *testing.F) {
-	addTraceSeeds(f)
-	f.Add([]byte("{\"obj\":\"o0\",\"node\":1}\n{\"seq\":1,\"n\":1}\n"))
-	f.Add([]byte("{\"obj\":\"o0\",\"node\":1,\"count\":2}\n{\"seq\":3,\"n\":2}\n{\"seq\":4,\"n\":0}\n"))
+	addWALSeeds(f)
 	in := fuzzInstance()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !boundedCounts(data) {
