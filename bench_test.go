@@ -74,7 +74,7 @@ func benchInstance(n, objects int, writeFrac float64) *core.Instance {
 
 func BenchmarkApproximateN100(b *testing.B) {
 	in := benchInstance(100, 1, 0.3)
-	in.Dist() // exclude APSP warm-up from the measured loop
+	in.Metric() // exclude the APSP warm-up from the measured loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.Approximate(in, core.Options{FL: facility.MettuPlaxton})
@@ -84,7 +84,7 @@ func BenchmarkApproximateN100(b *testing.B) {
 
 func BenchmarkApproximateLocalSearchN60(b *testing.B) {
 	in := benchInstance(60, 1, 0.3)
-	in.Dist()
+	in.Metric()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.Approximate(in, core.Options{FL: facility.LocalSearch})
@@ -259,23 +259,6 @@ func BenchmarkResidentSolve2500Lazy(b *testing.B) {
 	}
 }
 
-// BenchmarkResidentSolve2500LazyParallel is the same re-solve with
-// intra-solve parallelism on all cores (Options.Parallel < 0): sharded
-// storage-radius scans, sharded Mettu–Plaxton payment balls, and
-// partitioned phase-3 write-radius scans — output byte-identical to the
-// serial kernel. Matches cmd/benchreport's resident_solve_2500_lazy_par.
-func BenchmarkResidentSolve2500LazyParallel(b *testing.B) {
-	in := residentInstance(8)
-	opts := core.Options{Metric: core.MetricLazy, MetricRows: 64, Parallel: -1}
-	core.Approximate(in, opts) // warm oracle + pools
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := core.Approximate(in, opts)
-		benchSink += float64(len(p.Copies[0]))
-	}
-}
-
 // BenchmarkResidentObjectCost2500Lazy measures pricing one placement on the
 // warm instance — the kernel behind cost evaluation and what-if splicing.
 func BenchmarkResidentObjectCost2500Lazy(b *testing.B) {
@@ -318,35 +301,6 @@ func BenchmarkStreamEpoch2500Lazy(b *testing.B) {
 	eng := stream.New(in, stream.Config{
 		Epoch: epoch, Window: 4,
 		Solve: core.Options{Metric: core.MetricLazy, MetricRows: 64},
-	})
-	feed := func(k int) {
-		for i := 0; i < epoch; i++ {
-			if _, err := eng.Observe(seq[(k*epoch+i)%len(seq)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	feed(0) // warm: first epoch close adopts the initial placement
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feed(i + 1)
-	}
-	benchSink += eng.Stats().Total()
-}
-
-// BenchmarkStreamEpoch2500LazyParallel is the streaming epoch with the
-// per-object re-solves sharded across all cores — the session hot path
-// when netplaced runs with -parallel on. Matches cmd/benchreport's
-// stream_epoch_2500_par kernel.
-func BenchmarkStreamEpoch2500LazyParallel(b *testing.B) {
-	in := residentInstance(8)
-	rng := rand.New(rand.NewSource(7))
-	const epoch = 512
-	seq := workload.Sequence(in.Objects, epoch*64, rng)
-	eng := stream.New(in, stream.Config{
-		Epoch: epoch, Window: 4,
-		Solve: core.Options{Metric: core.MetricLazy, MetricRows: 64, Parallel: -1},
 	})
 	feed := func(k int) {
 		for i := 0; i < epoch; i++ {

@@ -14,14 +14,13 @@
 // two size tiers. The 2500-node tier measures a resident lazy-oracle
 // instance: full re-solve, cost evaluation, multi-source sweep, cache-hit
 // row fetch, the batched what-if path both incremental and from-scratch,
-// and one full streaming epoch of the adaptive engine. The 50k tier (since
-// PR 6) runs the solve, what-if and stream-epoch kernels on the sparse-grid
-// acceptance topology — the size at which intra-solve parallelism is
-// expected to pay — with `_par` variants on all cores and serial
-// counterparts pinned to Parallel=1 (at 50k an unset knob resolves
-// parallel under the size-aware auto policy, whose threshold is recorded
-// in the report note). 2500-node kernels leave the knob unset, so they
-// also measure that the auto default stays serial-fast at small sizes.
+// and one full streaming epoch of the adaptive engine. Below the size
+// rule's threshold (recorded in the report note) these solves run
+// serial. The 50k tier runs the solve, what-if and stream-epoch kernels
+// on the sparse-grid acceptance topology, where every object's solve
+// shards across GOMAXPROCS goroutines: each `_par` kernel runs at the
+// ambient GOMAXPROCS and its serial twin is the same kernel at
+// GOMAXPROCS 1, set and restored around it.
 //
 // -sizes and -kernels filter the kernel set (comma-separated size tags /
 // name substrings); -budget stops starting new kernels once the wall-clock
@@ -34,7 +33,8 @@
 //
 // With -cpu, the whole kernel set is re-run once per requested
 // GOMAXPROCS value and every entry is emitted as name/cpu=N — the form
-// used to measure how the `_par` kernels scale with cores. Without it,
+// used to measure how the `_par` kernels scale with cores (serial twins
+// still run at GOMAXPROCS 1). Without it,
 // entries carry bare names at the ambient GOMAXPROCS (the form the CI
 // gate compares).
 //
@@ -102,16 +102,10 @@ type kernel struct {
 }
 
 // kernels enumerates the measured benchmarks in report order. Each entry
-// builds its own fixture outside the timed loop. The _par variants run
-// the same workloads with intra-solve parallelism on all cores; their
-// outputs are byte-identical to the serial kernels', only the schedule
-// differs. 50k serial kernels pin Parallel=1 explicitly — at that size an
-// unset knob resolves parallel under the auto policy — while the 2500
-// kernels leave it unset, tracking the auto default.
+// builds its own fixture outside the timed loop.
 func kernels() []kernel {
 	lazyOpts := core.Options{Metric: core.MetricLazy, MetricRows: 64}
-	parOpts := core.Options{Metric: core.MetricLazy, MetricRows: 64, Parallel: -1}
-	serialOpts := core.Options{Metric: core.MetricLazy, MetricRows: 64, Parallel: 1}
+	oneObject := core.Options{Metric: core.MetricLazy, MetricRows: 64, Workers: 1}
 	benchSolve := func(mk func(int) *core.Instance, objects int, opts core.Options) func(b *testing.B) {
 		return func(b *testing.B) {
 			in := mk(objects)
@@ -123,9 +117,8 @@ func kernels() []kernel {
 			}
 		}
 	}
-	return []kernel{
+	ks := []kernel{
 		{"resident_solve_2500_lazy", "2500", benchSolve(residentInstance, 8, lazyOpts)},
-		{"resident_solve_2500_lazy_par", "2500", benchSolve(residentInstance, 8, parOpts)},
 		{"resident_objectcost_2500_lazy", "2500", func(b *testing.B) {
 			in := residentInstance(1)
 			p := core.Approximate(in, lazyOpts)
@@ -164,9 +157,6 @@ func kernels() []kernel {
 		{"whatif_incremental_2500", "2500", func(b *testing.B) {
 			benchWhatIf(b, service.Config{Workers: 2}, residentInstance(8))
 		}},
-		{"whatif_incremental_2500_par", "2500", func(b *testing.B) {
-			benchWhatIf(b, service.Config{Workers: 2, Parallel: -1}, residentInstance(8))
-		}},
 		{"whatif_full_2500", "2500", func(b *testing.B) {
 			benchWhatIf(b, service.Config{Workers: 2, DisableIncremental: true}, residentInstance(8))
 		}},
@@ -175,22 +165,29 @@ func kernels() []kernel {
 		// oracle) plus the epoch close (estimate roll, incremental
 		// re-solve of changed objects, hysteresis).
 		{"stream_epoch_2500", "2500", benchStreamEpoch(lazyOpts, residentInstance, 8)},
-		{"stream_epoch_2500_par", "2500", benchStreamEpoch(parOpts, residentInstance, 8)},
-		// The 50k tier: the sparse-grid acceptance topology, where one
-		// object's solve is heavy enough that intra-solve sharding and
-		// batched row construction must beat serial (the margin the
-		// bench-large CI job gates with -gate-par).
-		{"solve_50k_lazy", "50k", benchSolve(benchkit.LargeInstance, 2, serialOpts)},
-		{"solve_50k_lazy_par", "50k", benchSolve(benchkit.LargeInstance, 2, parOpts)},
-		{"whatif_50k", "50k", func(b *testing.B) {
-			benchWhatIf(b, service.Config{Workers: 2, Parallel: 1}, benchkit.LargeInstance(2))
-		}},
-		{"whatif_50k_par", "50k", func(b *testing.B) {
-			benchWhatIf(b, service.Config{Workers: 2, Parallel: -1}, benchkit.LargeInstance(2))
-		}},
-		{"stream_epoch_50k", "50k", benchStreamEpochLarge(serialOpts, 2)},
-		{"stream_epoch_50k_par", "50k", benchStreamEpochLarge(parOpts, 2)},
 	}
+	// The 50k tier: the sparse-grid acceptance topology, where one
+	// object's solve is heavy enough that sharding and batched row
+	// construction must beat serial (the margin the bench-large CI job
+	// gates with -gate-par). Each X_par kernel runs at the ambient
+	// GOMAXPROCS; its serial twin X is the same kernel at GOMAXPROCS 1,
+	// where the size rule resolves every sharded scan to one goroutine.
+	// Both halves of solve_50k_lazy place one object at a time, so the
+	// pair measures one object's sharded solve, not object fan-out.
+	for _, k := range []kernel{
+		{"solve_50k_lazy", "50k", benchSolve(benchkit.LargeInstance, 2, oneObject)},
+		{"whatif_50k", "50k", func(b *testing.B) {
+			benchWhatIf(b, service.Config{Workers: 2}, benchkit.LargeInstance(2))
+		}},
+		{"stream_epoch_50k", "50k", benchStreamEpochLarge(lazyOpts, 2)},
+	} {
+		serial := func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			k.fn(b)
+		}
+		ks = append(ks, kernel{k.name, k.size, serial}, kernel{k.name + "_par", k.size, k.fn})
+	}
+	return ks
 }
 
 // benchStreamEpoch builds the streaming-epoch kernel over the given
@@ -305,9 +302,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The auto-parallel threshold is part of the measurement conditions:
-	// it decides which kernels' unset knobs resolve parallel.
-	noteText := fmt.Sprintf("auto_parallel_min_nodes=%d", core.AutoParallelMinNodes)
+	// The size rule's threshold is part of the measurement conditions:
+	// it decides which kernels' solves shard.
+	noteText := fmt.Sprintf("auto_parallel_min_nodes=%d", metric.AutoParallelMinNodes)
 	if *note != "" {
 		noteText = *note + "; " + noteText
 	}

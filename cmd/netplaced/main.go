@@ -7,7 +7,7 @@
 // Usage:
 //
 //	netplaced [-addr :8723] [-mem-budget bytes] [-cache entries]
-//	          [-workers n] [-parallel n] [-solve-timeout 5m]
+//	          [-workers n] [-solve-timeout 5m]
 //	          [-max-queue n] [-data-dir dir] [-no-sync]
 //	          [-fsync-interval 0]
 //	          [-cluster url1,url2,...] [-self url] [-no-forward]
@@ -74,17 +74,9 @@
 // live session is snapshotted so the next start recovers with zero WAL
 // replay. See docs/resilience.md.
 //
-// -workers bounds how many solver runs execute at once; -parallel sets
-// the default intra-solve parallelism of each run (how many goroutines
-// cooperate on a single object's solve — the lever for incremental
-// what-if and session re-solves, which handle one object at a time).
-// 0 selects the size-aware auto policy: serial on instances below the
-// auto-parallel threshold (where sharding costs more than the scans),
-// all cores at or above it. 1 pins serial, negative uses all cores
-// unconditionally; a request's own "parallel" option overrides the
-// default per solve. The per-instance resolved values are reported at
-// /statz as effective_parallel, alongside the threshold as
-// auto_parallel_min_nodes.
+// -workers bounds how many solver runs execute at once. How many
+// goroutines share one object's solve follows the instance size alone:
+// one below 16384 nodes, all cores at or above.
 //
 // Endpoints (see internal/service.Server for bodies):
 //
@@ -152,7 +144,6 @@ func main() {
 		mem       = flag.Int64("mem-budget", 0, "resident-instance memory budget in estimated bytes (0: default, <0: unbounded)")
 		cache     = flag.Int("cache", 0, "solve-result cache entries (0: default, <0: disable)")
 		workers   = flag.Int("workers", 0, "max concurrently executing solver runs (0: GOMAXPROCS)")
-		parallel  = flag.Int("parallel", 0, "default intra-solve parallelism per solver run (0: size-aware auto, 1: serial, <0: GOMAXPROCS)")
 		timeout   = flag.Duration("solve-timeout", 0, "per-solve wall-clock cap (0: default, <0: none)")
 		maxBatch  = flag.Int("max-batch", 0, "max variants per what-if request (0: default)")
 		maxSess   = flag.Int("max-sessions", 0, "max concurrently open streaming sessions (0: default)")
@@ -197,7 +188,6 @@ func main() {
 		MemoryBudget:       *mem,
 		CacheEntries:       *cache,
 		Workers:            *workers,
-		Parallel:           *parallel,
 		SolveTimeout:       *timeout,
 		MaxBatchVariants:   *maxBatch,
 		MaxSessions:        *maxSess,

@@ -36,9 +36,11 @@ func ResidentInstance(objects int) *core.Instance {
 // acceptance topology (a 224×224 unit-weight grid, 50176 nodes) with a
 // CDN-like demand shape — every node reads once, so payment balls stay
 // local, and each object has sparse writers on its own residue class
-// (W = 42 per object). Past core.AutoParallelMinNodes, this is the size
-// at which the sharded and batched kernels are expected to pay; the lazy
-// oracle is bounded to 64 rows as in the acceptance test.
+// (W = 42 per object). It is past metric.AutoParallelMinNodes, so every
+// solve of it shards across GOMAXPROCS goroutines: the size at which the
+// sharded and batched kernels are expected to pay, and whose serial
+// twins run at GOMAXPROCS 1. The lazy oracle is bounded to 64 rows as in
+// the acceptance test.
 func LargeInstance(objects int) *core.Instance {
 	const side = 224 // 50176 nodes
 	g := gen.Grid(side, side, gen.UnitWeights)

@@ -32,23 +32,13 @@ type Options struct {
 	SkipPhase3 bool
 	// Workers bounds the goroutines placing whole objects concurrently —
 	// object-level parallelism, the fan-out Approximate uses when an
-	// instance has several (representative) objects. It does not speed up
-	// a single object's solve; that is what Parallel is for. 0 and
-	// negative values select GOMAXPROCS; 1 runs sequentially. The result
-	// is bit-identical to the sequential run either way.
-	Workers int
-	// Parallel bounds the goroutines cooperating on a single object's
-	// solve — intra-solve parallelism. The per-node radius scans (storage
-	// radii, Mettu–Plaxton payment balls) and the phase-3 write-radius
-	// candidate scans shard across this many workers, each with its own
-	// pooled scan workspace; the merged output is byte-identical to the
-	// serial solve. 0 selects the size-aware auto policy: serial below
-	// AutoParallelMinNodes nodes (where scheduling overhead beats the
-	// scans), GOMAXPROCS at or above. 1 pins serial, negative values
-	// select GOMAXPROCS like Workers. Workers and Parallel multiply when
-	// both exceed one — keep Workers × Parallel near GOMAXPROCS (see
+	// instance has several (representative) objects. 0 and negative
+	// values select GOMAXPROCS; 1 runs sequentially. The result is
+	// bit-identical to the sequential run either way. A single object's
+	// solve shards by instance size alone: serial below
+	// metric.AutoParallelMinNodes nodes, GOMAXPROCS at or above (see
 	// docs/tuning.md).
-	Parallel int
+	Workers int
 	// Metric overrides the instance's distance-oracle backend for this
 	// solve (MetricAuto keeps whatever the instance selects).
 	Metric MetricBackend
@@ -82,8 +72,8 @@ func (o Options) p3() float64 {
 }
 
 // workers resolves the object-level fan-out: how many objects are placed
-// at once. Intra-solve parallelism is resolved separately by
-// parallelFor(n).
+// at once. How many goroutines share one object's solve is the size rule
+// of metric.AutoWorkers, resolved in approximate.
 func (o Options) workers() int {
 	if o.Workers == 1 {
 		return 1
@@ -92,27 +82,6 @@ func (o Options) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.Workers
-}
-
-// AutoParallelMinNodes is the instance size at which an unset (zero)
-// Parallel option switches from serial to GOMAXPROCS — the size-aware
-// auto policy, re-exported from the metric package where the sharded
-// kernels live.
-const AutoParallelMinNodes = metric.AutoParallelMinNodes
-
-// EffectiveParallel resolves a Parallel knob against an instance of n
-// nodes: the worker count a solve with that knob actually uses. Exported
-// so the service layer can report the resolved value per instance.
-func EffectiveParallel(parallel, n int) int {
-	return metric.AutoWorkers(parallel, n)
-}
-
-// parallelFor resolves the intra-solve worker count against the instance
-// size: 1 pins a single object's solve serial (the historical
-// behaviour), negative selects GOMAXPROCS like workers(), and 0 applies
-// the size-aware auto policy (serial below AutoParallelMinNodes).
-func (o Options) parallelFor(n int) int {
-	return metric.AutoWorkers(o.Parallel, n)
 }
 
 // solveWS is the per-worker scratch of the solve pipeline: request vector,
@@ -177,6 +146,13 @@ func putSolveWS(ws *solveWS) {
 // Approximate solves one representative per such group and copies the
 // result to the rest — one multi-source pipeline serving many objects.
 func Approximate(in *Instance, opt Options) Placement {
+	return approximate(in, opt, 0)
+}
+
+// approximate is Approximate with every object's solve sharded across par
+// goroutines; 0 applies the size rule of metric.AutoWorkers. Only tests
+// pass a width, to reach the sharded scans on small instances.
+func approximate(in *Instance, opt Options, par int) Placement {
 	if opt.Metric != MetricAuto {
 		in.UseMetric(opt.Metric, opt.MetricRows)
 	}
@@ -195,7 +171,7 @@ func Approximate(in *Instance, opt Options) Placement {
 	if workers <= 1 {
 		ws := solvePool.Get().(*solveWS)
 		for _, i := range reps {
-			p.Copies[i] = approximateObject(in, &in.Objects[i], opt, ws)
+			p.Copies[i] = approximateObject(in, &in.Objects[i], opt, ws, par)
 		}
 		putSolveWS(ws)
 	} else {
@@ -214,7 +190,7 @@ func Approximate(in *Instance, opt Options) Placement {
 						return
 					}
 					i := reps[k]
-					p.Copies[i] = approximateObject(in, &in.Objects[i], opt, ws)
+					p.Copies[i] = approximateObject(in, &in.Objects[i], opt, ws, par)
 				}
 			}()
 		}
@@ -297,13 +273,14 @@ func sameDemand(a, b *Object) bool {
 // only the objects a scenario actually changed.
 func ApproximateObject(in *Instance, obj *Object, opt Options) []int {
 	ws := solvePool.Get().(*solveWS)
-	out := approximateObject(in, obj, opt, ws)
+	out := approximateObject(in, obj, opt, ws, 0)
 	putSolveWS(ws)
 	return out
 }
 
-// approximateObject places a single object using the given workspace.
-func approximateObject(in *Instance, obj *Object, opt Options, ws *solveWS) []int {
+// approximateObject places a single object using the given workspace,
+// sharding its per-node scans across par goroutines (0: the size rule).
+func approximateObject(in *Instance, obj *Object, opt Options, ws *solveWS, par int) []int {
 	n := in.N()
 	o := in.Metric()
 	reqBuf, has, order := ws.buffers(n)
@@ -323,7 +300,7 @@ func approximateObject(in *Instance, obj *Object, opt Options, ws *solveWS) []in
 	// Phase 1: related facility location problem. Writes count as reads;
 	// update costs are ignored. The facility instance is reused across
 	// objects so its internal scratch persists.
-	par := opt.parallelFor(n)
+	par = metric.AutoWorkers(par, n)
 	ws.fl.Open = in.Storage
 	ws.fl.Demand = req.Count
 	ws.fl.Metric = o

@@ -41,7 +41,7 @@ func TestObjectCostAgainstLiteralDefinition(t *testing.T) {
 		copies := rng.Perm(n)[:k]
 		got := in.ObjectCost(obj, copies)
 
-		dist := in.Dist()
+		dist := in.G.AllPairs()
 		var storage, read float64
 		for _, c := range copies {
 			storage += in.Storage[c]

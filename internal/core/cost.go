@@ -49,37 +49,25 @@ var costPool = sync.Pool{New: func() interface{} { return metric.NewWorkspace() 
 // the object's size (fees are per byte). Nearest-copy distances come from
 // one multi-source sweep of the oracle through pooled scratch, so the
 // evaluation needs neither a dense matrix nor steady-state allocations.
+// On instances of metric.AutoParallelMinNodes nodes or more, uncached
+// copy rows of the update tree build on all cores (see
+// metric.PairwiseMST); the breakdown is bit-identical either way.
 func (in *Instance) ObjectCost(obj *Object, copies []int) Breakdown {
 	return in.ObjectCostRaw(obj, copies).Scale(obj.Scale())
-}
-
-// ObjectCostParallel is ObjectCost with an explicit worker knob for the
-// update-tree row prefetch (0: size-aware auto, 1: serial, negative: all
-// cores — Options.Parallel semantics). The breakdown is bit-identical at
-// every worker count; the knob only decides whether uncached copy rows
-// build concurrently when the copy set outgrows the oracle's row cache.
-func (in *Instance) ObjectCostParallel(obj *Object, copies []int, parallel int) Breakdown {
-	return in.ObjectCostRawParallel(obj, copies, parallel).Scale(obj.Scale())
 }
 
 // ObjectCostRaw is ObjectCost before size scaling: the breakdown of a
 // size-1 object with the same request frequencies. The incremental what-if
 // path caches raw breakdowns so size changes re-scale instead of re-sweep.
 func (in *Instance) ObjectCostRaw(obj *Object, copies []int) Breakdown {
-	return in.ObjectCostRawParallel(obj, copies, 0)
-}
-
-// ObjectCostRawParallel is ObjectCostRaw with the ObjectCostParallel
-// worker knob.
-func (in *Instance) ObjectCostRawParallel(obj *Object, copies []int, parallel int) Breakdown {
 	ws := costPool.Get().(*metric.Workspace)
-	b := in.objectCostRaw(ws, obj, copies, parallel)
+	b := in.objectCostRaw(ws, obj, copies)
 	costPool.Put(ws)
 	return b
 }
 
 // objectCostRaw evaluates the unscaled breakdown using ws for scratch.
-func (in *Instance) objectCostRaw(ws *metric.Workspace, obj *Object, copies []int, parallel int) Breakdown {
+func (in *Instance) objectCostRaw(ws *metric.Workspace, obj *Object, copies []int) Breakdown {
 	o := in.Metric()
 	var b Breakdown
 	for _, v := range copies {
@@ -94,7 +82,7 @@ func (in *Instance) objectCostRaw(ws *metric.Workspace, obj *Object, copies []in
 		b.Read += float64(f) * near[v]
 	}
 	if w := obj.TotalWrites(); w > 0 && len(copies) > 1 {
-		b.Update = float64(w) * ws.PairwiseMSTParallel(o, copies, parallel)
+		b.Update = float64(w) * ws.PairwiseMST(o, copies)
 	}
 	return b
 }
@@ -105,7 +93,7 @@ func (in *Instance) Cost(p Placement) Breakdown {
 	var b Breakdown
 	for i := range in.Objects {
 		obj := &in.Objects[i]
-		b.Add(in.objectCostRaw(ws, obj, p.Copies[i], 0).Scale(obj.Scale()))
+		b.Add(in.objectCostRaw(ws, obj, p.Copies[i]).Scale(obj.Scale()))
 	}
 	costPool.Put(ws)
 	return b

@@ -105,9 +105,6 @@ type Instance struct {
 
 	mu     sync.Mutex
 	oracle metric.Oracle
-
-	distOnce sync.Once
-	dist     [][]float64
 }
 
 // NewInstance validates and assembles an instance.
@@ -334,35 +331,6 @@ func (in *Instance) buildOracle(b MetricBackend, cacheRows int) metric.Oracle {
 		return metric.NewLazy(in.G, cacheRows)
 	}
 }
-
-// Dist returns the dense shortest-path matrix, computing it on first use.
-// Safe for concurrent use; the computation itself is parallelised.
-//
-// Deprecated: Dist materializes Θ(n²) memory regardless of the selected
-// backend. New code should use Metric and the helpers in internal/metric;
-// Dist remains for the small-n exact solvers and tests that genuinely need
-// a matrix.
-func (in *Instance) Dist() [][]float64 {
-	in.distOnce.Do(func() {
-		in.mu.Lock()
-		if in.oracle == nil {
-			in.oracle = in.buildOracle(MetricDense, 0)
-		}
-		o := in.oracle
-		in.mu.Unlock()
-		if s, ok := o.(*metric.Space); ok {
-			in.dist = s.D
-			return
-		}
-		in.dist = in.G.AllPairsParallel(0)
-	})
-	return in.dist
-}
-
-// Space returns the dense metric-space view of the network.
-//
-// Deprecated: see Dist; use Metric instead.
-func (in *Instance) Space() *metric.Space { return metric.New(in.Dist()) }
 
 // Placement assigns every object a non-empty copy set (node ids, sorted).
 type Placement struct {

@@ -39,9 +39,10 @@ type Instance struct {
 
 	// Parallel bounds the goroutines sharding Mettu–Plaxton's per-node
 	// radius scans (each node's payment-ball walk is independent). 0 and
-	// 1 run serially; negative selects GOMAXPROCS. Results are identical
-	// either way; the greedy open pass is sequential regardless. The
-	// other solvers ignore it.
+	// 1 run serially; negative selects GOMAXPROCS. The core solve fills
+	// it from the instance size (metric.AutoWorkers). Results are
+	// identical either way; the greedy open pass is sequential
+	// regardless. The other solvers ignore it.
 	Parallel int
 
 	// Reusable scratch, grown on demand and kept across calls so a solver

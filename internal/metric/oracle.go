@@ -260,17 +260,12 @@ func Pairwise(o Oracle, points []int) [][]float64 {
 // PairwiseMST returns the weight of a minimum spanning tree over points
 // under the oracle metric — the paper's multicast-tree cost for updating a
 // copy set. Prim in O(k²) after k row fetches; 0 for k <= 1. Scratch comes
-// from a pooled Workspace, so steady-state calls allocate nothing.
+// from a pooled Workspace, so steady-state calls allocate nothing. On
+// oracles of AutoParallelMinNodes nodes or more, a batching backend builds
+// the uncached rows on all cores; the result is bit-identical either way.
 func PairwiseMST(o Oracle, points []int) float64 {
-	return PairwiseMSTParallel(o, points, 0)
-}
-
-// PairwiseMSTParallel is PairwiseMST with an explicit worker knob for the
-// row prefetch (0: size-aware auto, 1: serial, negative: all cores); the
-// result is bit-identical at every worker count.
-func PairwiseMSTParallel(o Oracle, points []int, workers int) float64 {
 	ws := wsPool.Get().(*Workspace)
-	total := ws.PairwiseMSTParallel(o, points, workers)
+	total := ws.PairwiseMST(o, points)
 	putWorkspace(ws)
 	return total
 }
@@ -283,7 +278,7 @@ func PairwiseMSTTree(o Oracle, points []int) ([][2]int, float64) {
 	}
 	var edges [][2]int
 	ws := wsPool.Get().(*Workspace)
-	total := ws.prim(o, points, &edges, 0)
+	total := ws.prim(o, points, &edges)
 	putWorkspace(ws)
 	return edges, total
 }

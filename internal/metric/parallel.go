@@ -27,10 +27,11 @@ import (
 // per-index work is heavy (phase-3 write radii) shard with grain 1.
 const ShardBlock = 32
 
-// AutoParallelMinNodes is the node-count threshold of the size-aware
-// auto-parallel policy: below it a parallelism knob of 0 resolves to
-// serial, at or above it to GOMAXPROCS. Calibrated on the committed
-// bench trajectory — at 2500 nodes the sharded kernels lose to serial
+// AutoParallelMinNodes is the node-count threshold of the size rule that
+// decides how many goroutines share one object's solve: below it a
+// parallelism count of 0 resolves to serial, at or above it to
+// GOMAXPROCS. Calibrated on the committed bench trajectory, measured on
+// a 1-core container — at 2500 nodes the sharded kernels lost to serial
 // (goroutine hand-off costs more than a payment-ball scan; see the
 // BENCH_PR5 _par entries), while at 50k nodes per-node sweeps are heavy
 // enough that sharding wins — so the threshold sits between those two
@@ -38,12 +39,12 @@ const ShardBlock = 32
 // cutoff where per-node scan cost clearly dominates scheduling cost.
 const AutoParallelMinNodes = 16384
 
-// AutoWorkers resolves a parallelism knob against an instance size n:
+// AutoWorkers resolves a worker count against an instance size n:
 // negative selects GOMAXPROCS, positive values are taken literally, and
-// 0 selects the size-aware auto policy — serial below
-// AutoParallelMinNodes nodes, GOMAXPROCS at or above — so leaving the
-// knob unset is never a regression at small sizes and never leaves
-// cores idle at large ones.
+// 0 selects the size rule — serial below AutoParallelMinNodes nodes,
+// GOMAXPROCS at or above — which is never a regression at small sizes
+// and never leaves cores idle at large ones. The core solve always
+// passes 0.
 func AutoWorkers(workers, n int) int {
 	switch {
 	case workers < 0:

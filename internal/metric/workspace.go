@@ -139,21 +139,20 @@ func (w *Workspace) WriteRadius(o Oracle, req Requests, writes int64, v int) flo
 }
 
 // pairwise fills the workspace's flattened k×k distance matrix over points
-// using one row fetch per point and returns it. When the resolved worker
-// count exceeds one (workers follows AutoWorkers: 0 is the size-aware
-// auto policy) and the backend batches rows, the rows are prefetched in
-// one RowsInto call so cache misses build in parallel instead of
-// faulting one at a time; the extracted matrix is identical either way —
-// cached row values do not depend on the schedule — so serial resolutions
-// keep the point-loop byte-for-byte.
-func (w *Workspace) pairwise(o Oracle, points []int, workers int) []float64 {
+// using one row fetch per point and returns it. When the size rule
+// (AutoWorkers) gives more than one worker and the backend batches rows,
+// the rows are prefetched in one RowsInto call so cache misses build in
+// parallel instead of faulting one at a time; the extracted matrix is
+// identical either way — cached row values do not depend on the
+// schedule — so serial resolutions keep the point-loop byte-for-byte.
+func (w *Workspace) pairwise(o Oracle, points []int) []float64 {
 	k := len(points)
 	if cap(w.pairD) < k*k {
 		w.pairD = make([]float64, k*k)
 	}
 	d := w.pairD[:k*k]
-	if rb, ok := o.(RowBatcher); ok && k >= 2 && AutoWorkers(workers, o.N()) > 1 {
-		w.pairRows = rb.RowsInto(points, w.pairRows, workers)
+	if rb, ok := o.(RowBatcher); ok && k >= 2 && AutoWorkers(0, o.N()) > 1 {
+		w.pairRows = rb.RowsInto(points, w.pairRows, 0)
 		for i, row := range w.pairRows {
 			for j, q := range points {
 				d[i*k+j] = row[q]
@@ -175,26 +174,18 @@ func (w *Workspace) pairwise(o Oracle, points []int, workers int) []float64 {
 // under the oracle metric using the workspace's scratch; identical in
 // result to the package-level PairwiseMST.
 func (w *Workspace) PairwiseMST(o Oracle, points []int) float64 {
-	return w.PairwiseMSTParallel(o, points, 0)
-}
-
-// PairwiseMSTParallel is PairwiseMST with an explicit worker knob for the
-// row prefetch (0: size-aware auto, 1: serial, negative: all cores). The
-// result is bit-identical at every worker count; the knob only decides
-// whether uncached copy rows build concurrently.
-func (w *Workspace) PairwiseMSTParallel(o Oracle, points []int, workers int) float64 {
 	if len(points) <= 1 {
 		return 0
 	}
-	return w.prim(o, points, nil, workers)
+	return w.prim(o, points, nil)
 }
 
 // prim runs Prim's algorithm over the workspace's pairwise matrix; when
 // edges is non-nil the MST edges (parent-first index pairs into points) are
 // appended to it. The selection order matches the historical dense
 // implementation exactly, so results are bit-identical across call paths.
-func (w *Workspace) prim(o Oracle, points []int, edges *[][2]int, workers int) float64 {
-	d := w.pairwise(o, points, workers)
+func (w *Workspace) prim(o Oracle, points []int, edges *[][2]int) float64 {
+	d := w.pairwise(o, points)
 	k := len(points)
 	if cap(w.pairBest) < k {
 		w.pairBest = make([]float64, k)

@@ -135,94 +135,92 @@ func pinBackend(t *testing.T, srv *Server, id, backend string) {
 // layer's core property: a run killed mid-epoch (twice) and recovered
 // from snapshot + WAL ends byte-identical — engine state, placement,
 // and /statz session counters — to an uninterrupted run of the same
-// trace, across the three oracle backends and the parallelism modes.
+// trace, across the three oracle backends.
 // Recovery replays under the reloaded instance's auto-selected backend,
 // so the cross-backend cases also re-assert the repo's oracle
 // equivalence invariant along the way.
 func TestCrashRecoveryByteIdenticalAcrossBackends(t *testing.T) {
 	for _, backend := range []string{"dense", "lazy", "tree"} {
-		for _, par := range []int{0, 2, -1} {
-			t.Run(fmt.Sprintf("%s/parallel=%d", backend, par), func(t *testing.T) {
-				ctx := context.Background()
-				in := crashInstance(t)
-				trace := driftTrace(24, 126)
-				scfg := SessionConfig{Epoch: 16, Window: 3, Options: SolveOptions{Metric: backend, Parallel: par}}
+		t.Run(backend, func(t *testing.T) {
+			ctx := context.Background()
+			in := crashInstance(t)
+			trace := driftTrace(24, 126)
+			scfg := SessionConfig{Epoch: 16, Window: 3, Options: SolveOptions{Metric: backend}}
 
-				// Uninterrupted reference on a plain in-memory server.
-				refSrv, refC := newTestServer(t, Config{})
-				refUp, err := refC.Upload(ctx, "crash", in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pinBackend(t, refSrv, refUp.ID, backend)
-				refSess, err := refC.OpenSession(ctx, refUp.ID, scfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ingestBatches(t, refC, refSess.SessionID, trace, 9)
-				if _, err := refC.SessionFlush(ctx, refSess.SessionID); err != nil {
-					t.Fatal(err)
-				}
-				want := sessionFingerprint(t, refSrv, refC, refSess.SessionID)
+			// Uninterrupted reference on a plain in-memory server.
+			refSrv, refC := newTestServer(t, Config{})
+			refUp, err := refC.Upload(ctx, "crash", in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinBackend(t, refSrv, refUp.ID, backend)
+			refSess, err := refC.OpenSession(ctx, refUp.ID, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestBatches(t, refC, refSess.SessionID, trace, 9)
+			if _, err := refC.SessionFlush(ctx, refSess.SessionID); err != nil {
+				t.Fatal(err)
+			}
+			want := sessionFingerprint(t, refSrv, refC, refSess.SessionID)
 
-				// Same trace against a persistent server, killed twice
-				// mid-epoch (54 = 3·16+6 and 90 = 5·16+10 events).
-				h := NewCrashHarness(t.TempDir(), Config{})
-				srv, err := h.Start()
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := serveExisting(t, srv)
-				up, err := c.Upload(ctx, "crash", in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if up.ID != refUp.ID {
-					t.Fatalf("content-addressed ids diverge: %s vs %s", up.ID, refUp.ID)
-				}
-				pinBackend(t, srv, up.ID, backend)
-				sess, err := c.OpenSession(ctx, up.ID, scfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sid := sess.SessionID
-				if sid != refSess.SessionID {
-					t.Fatalf("session ids diverge: %s vs %s", sid, refSess.SessionID)
-				}
+			// Same trace against a persistent server, killed twice
+			// mid-epoch (54 = 3·16+6 and 90 = 5·16+10 events).
+			h := NewCrashHarness(t.TempDir(), Config{})
+			srv, err := h.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := serveExisting(t, srv)
+			up, err := c.Upload(ctx, "crash", in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up.ID != refUp.ID {
+				t.Fatalf("content-addressed ids diverge: %s vs %s", up.ID, refUp.ID)
+			}
+			pinBackend(t, srv, up.ID, backend)
+			sess, err := c.OpenSession(ctx, up.ID, scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sid := sess.SessionID
+			if sid != refSess.SessionID {
+				t.Fatalf("session ids diverge: %s vs %s", sid, refSess.SessionID)
+			}
 
-				ingestBatches(t, c, sid, trace[:54], 9)
-				h.Kill()
-				srv, err = h.Start()
-				if err != nil {
-					t.Fatal(err)
-				}
-				c = serveExisting(t, srv)
-				st := srv.Stats()
-				if !st.Persistence || st.RecoveredSessions != 1 || st.WALDiscardedBytes != 0 {
-					t.Fatalf("first recovery stats: %+v", st)
-				}
-				if st.SessionEvents != 54 {
-					t.Fatalf("recovered counters report %d events, want 54", st.SessionEvents)
-				}
+			ingestBatches(t, c, sid, trace[:54], 9)
+			h.Kill()
+			srv, err = h.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = serveExisting(t, srv)
+			st := srv.Stats()
+			if !st.Persistence || st.RecoveredSessions != 1 || st.WALDiscardedBytes != 0 {
+				t.Fatalf("first recovery stats: %+v", st)
+			}
+			if st.SessionEvents != 54 {
+				t.Fatalf("recovered counters report %d events, want 54", st.SessionEvents)
+			}
 
-				ingestBatches(t, c, sid, trace[54:90], 9)
-				h.Kill()
-				srv, err = h.Start()
-				if err != nil {
-					t.Fatal(err)
-				}
-				c = serveExisting(t, srv)
-				ingestBatches(t, c, sid, trace[90:], 9)
-				if _, err := c.SessionFlush(ctx, sid); err != nil {
-					t.Fatal(err)
-				}
+			ingestBatches(t, c, sid, trace[54:90], 9)
+			h.Kill()
+			srv, err = h.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = serveExisting(t, srv)
+			ingestBatches(t, c, sid, trace[90:], 9)
+			if _, err := c.SessionFlush(ctx, sid); err != nil {
+				t.Fatal(err)
+			}
 
-				got := sessionFingerprint(t, srv, c, sid)
-				if !bytes.Equal(got, want) {
-					t.Errorf("recovered run diverges from uninterrupted run\n got %s\nwant %s", got, want)
-				}
-			})
-		}
+			got := sessionFingerprint(t, srv, c, sid)
+			if !bytes.Equal(got, want) {
+				t.Errorf("recovered run diverges from uninterrupted run\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }
 

@@ -47,13 +47,6 @@ type SolveOptions struct {
 	// MetricRows bounds the lazy backend's row cache (see
 	// core.Options.MetricRows).
 	MetricRows int `json:"metric_rows,omitempty"`
-	// Parallel bounds the goroutines cooperating on a single object's
-	// solve (see core.Options.Parallel): 0 falls back to the service's
-	// configured default (Config.Parallel, itself 0 = size-aware auto:
-	// serial below core.AutoParallelMinNodes nodes, GOMAXPROCS at or
-	// above), 1 forces serial, negative selects GOMAXPROCS. Parallel
-	// output is byte-identical to serial.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // flSolvers maps wire names to facility location solvers.
@@ -111,18 +104,11 @@ func (o SolveOptions) normalize() (SolveOptions, error) {
 	if o.MetricRows < 0 {
 		return o, fmt.Errorf("service: negative metric_rows")
 	}
-	if o.Parallel < 0 {
-		o.Parallel = -1 // canonical "all cores"
-	}
 	return o, nil
 }
 
 // key renders normalised options canonically; together with the instance
-// hash it is the solve-cache key. Parallel is deliberately excluded:
-// like the engine's worker split it is execution policy, not semantics —
-// parallel output is byte-identical to serial (property-tested) — so
-// solves differing only in parallelism share cache entries and collapse
-// in flight.
+// hash it is the solve-cache key.
 func (o SolveOptions) key() string {
 	var b strings.Builder
 	b.WriteString("algo=")
@@ -173,13 +159,8 @@ func (o SolveOptions) validateFor(in *core.Instance) error {
 // coreOptions lowers normalised wire options to core.Options. workers is
 // the solver's internal object-level parallelism; the engine divides
 // GOMAXPROCS across its concurrent runs so the pool and the per-run
-// fan-out do not multiply. parallel is the intra-solve worker count a
-// single object's solve shards across (the request's own value wins over
-// this engine default — see Engine.lowerOptions).
-func (o SolveOptions) coreOptions(workers, parallel int) core.Options {
-	if o.Parallel != 0 {
-		parallel = o.Parallel
-	}
+// fan-out do not multiply.
+func (o SolveOptions) coreOptions(workers int) core.Options {
 	return core.Options{
 		FL:           flSolvers[o.FL], // nil for "": auto-select
 		Phase2Factor: o.Phase2Factor,
@@ -187,16 +168,9 @@ func (o SolveOptions) coreOptions(workers, parallel int) core.Options {
 		SkipPhase2:   o.SkipPhase2,
 		SkipPhase3:   o.SkipPhase3,
 		Workers:      workers,
-		Parallel:     parallel,
 		Metric:       metricBackends[o.Metric],
 		MetricRows:   o.MetricRows,
 	}
-}
-
-// lowerOptions is coreOptions with the engine's configured intra-solve
-// parallelism as the default for requests that leave parallel unset.
-func (e *Engine) lowerOptions(o SolveOptions, workers int) core.Options {
-	return o.coreOptions(workers, e.cfg.Parallel)
 }
 
 // BreakdownJSON is the wire form of a cost decomposition.
@@ -351,9 +325,6 @@ func (e *Engine) solveOn(ctx context.Context, id, hash string, in *core.Instance
 			e.counters.hits.Add(1)
 			out := *res.(*SolveResult)
 			out.Cached = true
-			// The cached run may have used different execution policy
-			// (parallel is not part of the key); echo this request's.
-			out.Options = opts
 			return out, nil
 		}
 		if !counted {
@@ -382,7 +353,6 @@ func (e *Engine) solveOn(ctx context.Context, id, hash string, in *core.Instance
 		}
 		out := *(val.(*SolveResult))
 		out.Shared = shared
-		out.Options = opts
 		return out, nil
 	}
 }
@@ -489,7 +459,7 @@ func (e *Engine) solveInstance(ctx context.Context, in *core.Instance, opts Solv
 	case "fl-only":
 		return core.FacilityOnly(in, flSolvers[opts.FL]), 0, nil
 	default: // "approx"
-		return core.Approximate(in, e.lowerOptions(opts, e.runWorkers())), 0, nil
+		return core.Approximate(in, opts.coreOptions(e.runWorkers())), 0, nil
 	}
 }
 

@@ -3,9 +3,7 @@ package service
 import (
 	"context"
 	"math/rand"
-	"os"
 	"reflect"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -14,18 +12,8 @@ import (
 	"netplace/internal/workload"
 )
 
-// testParallel is the intra-solve parallelism the concurrency hammers
-// force. The CI race lane raises it via NETPLACE_TEST_PARALLEL so the
-// sharded scans run wider than the default under the race detector.
-func testParallel() int {
-	if v, err := strconv.Atoi(os.Getenv("NETPLACE_TEST_PARALLEL")); err == nil && v != 0 {
-		return v
-	}
-	return 4
-}
-
 // clusteredServiceInstance builds a mid-size clustered instance whose
-// re-solves do enough radius-scan work for the sharded workers to overlap.
+// re-solves do enough radius-scan work for concurrent solves to overlap.
 func clusteredServiceInstance(t *testing.T, objects int) *core.Instance {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -44,13 +32,13 @@ func clusteredServiceInstance(t *testing.T, objects int) *core.Instance {
 }
 
 // TestConcurrentSessionResolvesParallelRace hammers several streaming
-// sessions at once with intra-solve parallelism forced on, so session
-// epoch re-solves (sharded radius scans, concurrent lazy-oracle access)
-// overlap with each other and with concurrent what-if scenarios. Run
-// with -race; the final placements must also match a serial reference.
+// sessions at once, so session epoch re-solves (concurrent lazy-oracle
+// access) overlap with each other and with concurrent what-if scenarios
+// on the default schedule. Run with -race; every session must end on the
+// same placement. The core package's TestConcurrentShardedSolvesRace
+// covers the sharded scans at a forced width.
 func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
-	par := testParallel()
-	srv, c := newTestServer(t, Config{Workers: 4, Parallel: par})
+	srv, c := newTestServer(t, Config{Workers: 4})
 	ctx := context.Background()
 	in := clusteredServiceInstance(t, 4)
 	up, err := c.Upload(ctx, "hammer", in)
@@ -62,12 +50,12 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 	const epochs = 3
 	ids := make([]string, sessions)
 	for i := range ids {
-		// Mettu–Plaxton keeps re-solves on the sharded ball-scan path (the
-		// auto-selected local search is Θ(n²) per sweep and ignores
-		// Parallel — far too slow to hammer in a test).
+		// Mettu–Plaxton keeps re-solves on the ball-scan path (the
+		// auto-selected local search is Θ(n²) per sweep — far too slow to
+		// hammer in a test).
 		info, err := c.OpenSession(ctx, up.ID, SessionConfig{
 			Epoch: 32, Window: 2,
-			Options: SolveOptions{FL: "mettu-plaxton", Metric: "lazy", MetricRows: 16, Parallel: par},
+			Options: SolveOptions{FL: "mettu-plaxton", Metric: "lazy", MetricRows: 16},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +64,7 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 	}
 
 	// Identical event streams per session: every session must converge to
-	// the same placement no matter how its parallel re-solves interleave.
+	// the same placement no matter how its re-solves interleave.
 	rng := rand.New(rand.NewSource(17))
 	seq := workload.Sequence(in.Objects, 32*epochs, rng)
 	batch := make([]SessionEvent, len(seq))
@@ -98,7 +86,7 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 		}(sid)
 	}
 	// Concurrent what-if pressure through the same engine and oracle: the
-	// incremental path re-solves one object with the same parallel knob.
+	// incremental path re-solves one object at a time.
 	for k := 0; k < 2; k++ {
 		wg.Add(1)
 		go func(k int) {
@@ -108,7 +96,7 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 				reads[v] = int64((v + k) % 5)
 			}
 			sc := Scenario{Objects: []ObjectPatch{{Name: in.Objects[0].Name, Reads: reads}}}
-			opts := SolveOptions{FL: "mettu-plaxton", Metric: "lazy", MetricRows: 16, Parallel: par}
+			opts := SolveOptions{FL: "mettu-plaxton", Metric: "lazy", MetricRows: 16}
 			for i := 0; i < 3; i++ {
 				if _, err := srv.Engine().Scenario(ctx, up.ID, opts, sc); err != nil {
 					t.Error(err)
@@ -130,7 +118,7 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(pl.Placement.Copies, want) {
-			t.Fatalf("session %s diverged under parallel re-solves: %v vs %v", sid, pl.Placement.Copies, want)
+			t.Fatalf("session %s diverged under concurrent re-solves: %v vs %v", sid, pl.Placement.Copies, want)
 		}
 	}
 }

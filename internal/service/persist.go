@@ -558,7 +558,7 @@ func (s *Server) recoverSession(sid string) {
 		s.sessions.reserve(sid)
 		return
 	}
-	cfg, err := meta.Config.streamConfig(s.engine.runWorkers(), s.cfg.Parallel)
+	cfg, err := s.sessionConfig(meta.Config, in)
 	if err != nil {
 		log.Printf("service: skipping session %s: %v", sid, err)
 		s.sessions.reserve(sid)

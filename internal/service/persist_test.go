@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -177,5 +179,86 @@ func TestPersistenceDisabledByDefault(t *testing.T) {
 	}
 	if st := srv2.Stats(); st.Persistence {
 		t.Fatalf("Open without DataDir reports persistence: %+v", st)
+	}
+}
+
+// Servers that still took a "parallel" solve option wrote it into the
+// session meta. Recovery reads the meta with json.Unmarshal, which
+// ignores the key, so such a session recovers with the same placement
+// and stats.
+func TestSessionRecoveryIgnoresParallelInMeta(t *testing.T) {
+	ctx := context.Background()
+	h := NewCrashHarness(t.TempDir(), Config{})
+	srv, err := h.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serveExisting(t, srv)
+	up, err := c.Upload(ctx, "meta", crashInstance(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 16, Window: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid := sess.SessionID
+	ingestBatches(t, c, sid, driftTrace(24, 54), 9)
+	want := sessionFingerprint(t, srv, c, sid)
+	h.Kill()
+
+	meta := fmt.Sprintf(`{"session_id":%q,"instance_id":%q,"config":{"epoch":16,"window":3,"options":{"parallel":4}}}`, sid, up.ID)
+	if err := os.WriteFile(filepath.Join(h.Dir(), "sessions", sid+".meta.json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err = h.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = serveExisting(t, srv)
+	if st := srv.Stats(); st.RecoveredSessions != 1 {
+		t.Fatalf("recovered %d sessions, want 1", st.RecoveredSessions)
+	}
+	if got := sessionFingerprint(t, srv, c, sid); !bytes.Equal(got, want) {
+		t.Fatalf("recovered session diverges\n got %s\nwant %s", got, want)
+	}
+}
+
+// Recovery bounds a session's window like an open does: a session whose
+// estimator ring no longer fits the memory budget is logged and skipped,
+// and its id stays reserved.
+func TestSessionRecoverySkipsWindowOverBudget(t *testing.T) {
+	ctx := context.Background()
+	h := NewCrashHarness(t.TempDir(), Config{MemoryBudget: 1 << 20})
+	srv, err := h.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serveExisting(t, srv)
+	up, err := c.Upload(ctx, "window", crashInstance(t)) // 1152 ring bytes per epoch
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 8, Window: 900})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Kill()
+
+	h.cfg.MemoryBudget = 1 << 19 // room for 455 epochs
+	srv, err = h.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = serveExisting(t, srv)
+	if got, err := c.Sessions(ctx); err != nil || len(got) != 0 {
+		t.Fatalf("sessions after an over-budget window: %+v err=%v", got, err)
+	}
+	fresh, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.SessionID <= sess.SessionID {
+		t.Fatalf("fresh session id %s does not advance past reserved %s", fresh.SessionID, sess.SessionID)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"netplace/internal/core"
 	"netplace/internal/encode"
 )
 
@@ -182,64 +181,55 @@ func (s *Server) Stats() Stats {
 	if scenarios > 0 {
 		incrRate = float64(incr) / float64(scenarios)
 	}
-	// Per-instance resolved parallelism: under the auto policy the same
-	// Config.Parallel yields different worker counts per instance size.
-	perInstance := make(map[string]int)
-	for _, info := range s.engine.registry.List() {
-		perInstance[info.ID] = effectiveParallel(s.cfg.Parallel, info.Nodes)
-	}
 	return Stats{
-		UptimeSeconds:        time.Since(s.start).Seconds(),
-		Instances:            s.engine.registry.Len(),
-		InstanceBytes:        s.engine.registry.UsedBytes(),
-		MemoryBudget:         s.cfg.MemoryBudget,
-		Evictions:            s.counters.evictions.Load(),
-		CacheEntries:         s.engine.CacheLen(),
-		CacheHits:            hits,
-		CacheMisses:          misses,
-		CacheHitRate:         rate,
-		SolvesTotal:          s.counters.runs.Load(),
-		Workers:              s.cfg.Workers,
-		ParallelConfig:       s.cfg.Parallel,
-		AutoParallelMinNodes: core.AutoParallelMinNodes,
-		EffectiveParallel:    perInstance,
-		SharedSolves:         s.counters.shared.Load(),
-		InFlightSolves:       s.counters.inflight.Load(),
-		SolveErrors:          s.counters.errors.Load(),
-		Simulations:          s.counters.simulations.Load(),
-		WhatIfScenarios:      scenarios,
-		WhatIfIncremental:    incr,
-		WhatIfFull:           s.counters.fullScenarios.Load(),
-		IncrementalHitRate:   incrRate,
-		ObjectsResolved:      s.counters.objectsResolved.Load(),
-		ObjectsSpliced:       s.counters.objectsSpliced.Load(),
-		SessionsOpen:         s.sessions.len(),
-		SessionsOpened:       s.counters.sessionsOpened.Load(),
-		SessionEvents:        s.counters.sessionEvents.Load(),
-		SessionEpochs:        s.counters.sessionEpochs.Load(),
-		SessionResolves:      s.counters.sessionResolves.Load(),
-		SessionMoves:         s.counters.sessionMoves.Load(),
-		Persistence:          s.store != nil,
-		PersistErrors:        s.counters.persistErrors.Load(),
-		RecoveredSessions:    s.counters.recoveredSessions.Load(),
-		WALDiscardedBytes:    s.counters.walDiscarded.Load(),
-		Ready:                s.Ready(),
-		Draining:             s.draining.Load(),
-		Sheds:                s.counters.sheds.Load(),
-		MaxSolveQueue:        s.cfg.MaxSolveQueue,
-		QueueDepth:           s.counters.queued.Load(),
-		QueueHighWater:       s.counters.queueHighWater.Load(),
-		StaleReads:           s.counters.staleReads.Load(),
-		RetriesObserved:      s.counters.retriesObserved.Load(),
-		DeadlineRejects:      s.counters.deadlineRejects.Load(),
-		DedupedBatches:       s.counters.dedupedBatches.Load(),
-		Peers:                s.livePeers(),
-		PeerHealth:           s.peerHealthStates(),
-		BreakerOpens:         s.breakerOpens(),
-		ReplicaInstances:     s.replicas.len(),
-		FailoverReads:        s.counters.failoverReads.Load(),
-		ReplicaPushes:        s.counters.replicaPushes.Load(),
-		ReplicaPushErrors:    s.counters.replicaPushErrors.Load(),
+		UptimeSeconds:      time.Since(s.start).Seconds(),
+		Instances:          s.engine.registry.Len(),
+		InstanceBytes:      s.engine.registry.UsedBytes(),
+		MemoryBudget:       s.cfg.MemoryBudget,
+		Evictions:          s.counters.evictions.Load(),
+		CacheEntries:       s.engine.CacheLen(),
+		CacheHits:          hits,
+		CacheMisses:        misses,
+		CacheHitRate:       rate,
+		SolvesTotal:        s.counters.runs.Load(),
+		Workers:            s.cfg.Workers,
+		SharedSolves:       s.counters.shared.Load(),
+		InFlightSolves:     s.counters.inflight.Load(),
+		SolveErrors:        s.counters.errors.Load(),
+		Simulations:        s.counters.simulations.Load(),
+		WhatIfScenarios:    scenarios,
+		WhatIfIncremental:  incr,
+		WhatIfFull:         s.counters.fullScenarios.Load(),
+		IncrementalHitRate: incrRate,
+		ObjectsResolved:    s.counters.objectsResolved.Load(),
+		ObjectsSpliced:     s.counters.objectsSpliced.Load(),
+		SessionsOpen:       s.sessions.len(),
+		SessionsOpened:     s.counters.sessionsOpened.Load(),
+		SessionEvents:      s.counters.sessionEvents.Load(),
+		SessionEpochs:      s.counters.sessionEpochs.Load(),
+		SessionResolves:    s.counters.sessionResolves.Load(),
+		SessionMoves:       s.counters.sessionMoves.Load(),
+		Persistence:        s.store != nil,
+		PersistErrors:      s.counters.persistErrors.Load(),
+		RecoveredSessions:  s.counters.recoveredSessions.Load(),
+		WALDiscardedBytes:  s.counters.walDiscarded.Load(),
+		Ready:              s.Ready(),
+		Draining:           s.draining.Load(),
+		Sheds:              s.counters.sheds.Load(),
+		MaxSolveQueue:      s.cfg.MaxSolveQueue,
+		QueueDepth:         s.counters.queued.Load(),
+		QueueHighWater:     s.counters.queueHighWater.Load(),
+		StaleReads:         s.counters.staleReads.Load(),
+		RetriesObserved:    s.counters.retriesObserved.Load(),
+		DeadlineRejects:    s.counters.deadlineRejects.Load(),
+		DedupedBatches:     s.counters.dedupedBatches.Load(),
+		Peers:              s.livePeers(),
+		PeerHealth:         s.peerHealthStates(),
+		BreakerOpens:       s.breakerOpens(),
+		ReplicaInstances:   s.replicas.len(),
+		FailoverReads:      s.counters.failoverReads.Load(),
+		ReplicaPushes:      s.counters.replicaPushes.Load(),
+		ReplicaPushErrors:  s.counters.replicaPushErrors.Load(),
 	}
 }
 

@@ -2,15 +2,16 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"netplace/internal/core"
 	"netplace/internal/encode"
 )
 
@@ -347,43 +348,32 @@ func TestInstanceSharedOracle(t *testing.T) {
 	}
 }
 
-// /statz must report the raw parallel knob, the auto threshold, and the
-// per-instance resolved parallelism — which under the auto policy depends
-// on each instance's node count.
-func TestStatsEffectiveParallelPerInstance(t *testing.T) {
-	srv, c := newTestServer(t, Config{}) // Parallel 0: size-aware auto
-	ctx := context.Background()
-	up, err := c.Upload(ctx, "small", pathInstance(t, 10, 3))
+// The parallel solve option is gone: a solve, what-if or session-open
+// body that still carries it is refused by the strict body decoder with
+// a 400 naming the field, and nothing runs.
+func TestParallelOptionRejected(t *testing.T) {
+	srv, c := newTestServer(t, Config{})
+	up, err := c.Upload(context.Background(), "parallel", pathInstance(t, 10, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.ParallelConfig != 0 {
-		t.Fatalf("parallel_config = %d, want 0", st.ParallelConfig)
+	for _, tc := range []struct{ path, body string }{
+		{"/instances/" + up.ID + "/solve", `{"options":{"parallel":2}}`},
+		{"/instances/" + up.ID + "/whatif", `{"variants":[{"parallel":-1}]}`},
+		{"/instances/" + up.ID + "/whatif", `{"options":{"parallel":1},"scenarios":[{"label":"x"}]}`},
+		{"/v1/sessions", `{"instance_id":"` + up.ID + `","config":{"options":{"parallel":4}}}`},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		var e errorJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: undecodable error body %q: %v", tc.path, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "parallel"`) {
+			t.Fatalf("%s %s: %d %q, want a 400 naming the parallel field", tc.path, tc.body, rec.Code, e.Error)
+		}
 	}
-	if st.AutoParallelMinNodes != core.AutoParallelMinNodes {
-		t.Fatalf("auto_parallel_min_nodes = %d, want %d", st.AutoParallelMinNodes, core.AutoParallelMinNodes)
-	}
-	// A 10-node instance is far below the threshold: auto resolves serial.
-	if got, ok := st.EffectiveParallel[up.ID]; !ok || got != 1 {
-		t.Fatalf("effective_parallel[%s] = %d (ok %v), want 1", up.ID, got, ok)
-	}
-
-	// A pinned config reports the pin for every instance regardless of size.
-	srv2, c2 := newTestServer(t, Config{Parallel: 3})
-	up2, err := c2.Upload(ctx, "pinned", pathInstance(t, 10, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := srv2.Stats().EffectiveParallel[up2.ID]; got != 3 {
-		t.Fatalf("pinned effective_parallel = %d, want 3", got)
-	}
-
-	// The resolver itself flips at the threshold for the auto knob.
-	if got := effectiveParallel(0, core.AutoParallelMinNodes); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("auto at threshold = %d, want GOMAXPROCS", got)
-	}
-	if got := effectiveParallel(0, core.AutoParallelMinNodes-1); got != 1 {
-		t.Fatalf("auto below threshold = %d, want 1", got)
+	if st := srv.Stats(); st.SolvesTotal != 0 || st.WhatIfScenarios != 0 || st.SessionsOpened != 0 {
+		t.Fatalf("refused requests did work: %+v", st)
 	}
 }

@@ -29,8 +29,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
-
-	"netplace/internal/core"
 )
 
 // Config tunes a Server. The zero value is serviceable: DefaultConfig
@@ -44,20 +42,12 @@ type Config struct {
 	// DefaultCacheEntries; negative disables caching.
 	CacheEntries int
 	// Workers bounds concurrently executing solver runs (batched what-if
-	// variants queue behind it). 0 selects GOMAXPROCS.
+	// variants queue behind it). 0 selects GOMAXPROCS. Each run places
+	// its objects on GOMAXPROCS ÷ Workers goroutines (at least one); how
+	// many goroutines share one object's solve follows the instance size
+	// alone: one below metric.AutoParallelMinNodes nodes, GOMAXPROCS at
+	// or above (see docs/tuning.md).
 	Workers int
-	// Parallel is the default intra-solve parallelism of a solver run:
-	// how many goroutines cooperate on a single object's solve (see
-	// core.Options.Parallel). 0 selects the size-aware auto policy —
-	// serial below core.AutoParallelMinNodes nodes (where Workers'
-	// object-level fan-out already saturates the machine and sharding
-	// costs more than the scans), GOMAXPROCS at or above, which is what
-	// makes incremental what-if and session re-solves (one object at a
-	// time, so object-level fan-out cannot help them) scale on large
-	// instances without configuration. 1 pins serial, negative selects
-	// GOMAXPROCS unconditionally. A request's own "parallel" option
-	// overrides this default per solve.
-	Parallel int
 	// SolveTimeout caps one solver run. 0 selects DefaultSolveTimeout;
 	// negative disables the cap. The cap (and a client disconnect) always
 	// cancels waiting for a worker slot; whether it can abort a running
@@ -192,14 +182,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// effectiveParallel resolves a Config.Parallel value against an instance
-// of n nodes to the worker count a solver run actually uses: negative is
-// GOMAXPROCS, zero the size-aware auto policy (serial below
-// core.AutoParallelMinNodes).
-func effectiveParallel(p, n int) int {
-	return core.EffectiveParallel(p, n)
-}
-
 // counters aggregates the engine's monotonic event counts and gauges; all
 // fields are atomics so hot paths never take a lock to count.
 type counters struct {
@@ -273,16 +255,8 @@ type Stats struct {
 	// SolvesTotal counts solver executions; because identical in-flight
 	// requests collapse, it can be far below CacheMisses under load.
 	SolvesTotal int64 `json:"solves_total"`
-	// Workers is the configured worker-pool size. ParallelConfig is the
-	// raw Config.Parallel knob (0 = size-aware auto) and
-	// AutoParallelMinNodes the auto policy's threshold; EffectiveParallel
-	// maps each loaded instance id to the intra-solve parallelism a solve
-	// of it uses when the request does not override the default — the
-	// resolved value depends on the instance's node count under auto.
-	Workers              int            `json:"workers"`
-	ParallelConfig       int            `json:"parallel_config"`
-	AutoParallelMinNodes int            `json:"auto_parallel_min_nodes"`
-	EffectiveParallel    map[string]int `json:"effective_parallel"`
+	// Workers is the configured worker-pool size.
+	Workers int `json:"workers"`
 	// SharedSolves counts requests that joined an identical in-flight run
 	// instead of executing their own.
 	SharedSolves int64 `json:"shared_solves"`

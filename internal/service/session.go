@@ -39,11 +39,12 @@ type SessionConfig struct {
 	Options SolveOptions `json:"options,omitzero"`
 }
 
-// streamConfig lowers the wire config to a stream.Config. parallel is
-// the service's default intra-solve parallelism, applied when the
-// session's own options leave it unset — session epoch re-solves run one
-// object at a time, so this is the only parallelism available to them.
-func (c SessionConfig) streamConfig(runWorkers, parallel int) (stream.Config, error) {
+// sessionConfig lowers a session's wire config to a stream.Config for a
+// session over in, bounding its estimator before stream.New allocates
+// it: a sliding window keeps 2 × Window count matrices of objects ×
+// nodes int64s, so that ring must fit the registry's memory budget
+// (DefaultMemoryBudget when eviction is disabled). An EWMA keeps no ring.
+func (s *Server) sessionConfig(c SessionConfig, in *core.Instance) (stream.Config, error) {
 	opts, err := c.Options.normalize()
 	if err != nil {
 		return stream.Config{}, err
@@ -54,6 +55,21 @@ func (c SessionConfig) streamConfig(runWorkers, parallel int) (stream.Config, er
 	if c.Alpha < 0 || c.Alpha > 1 {
 		return stream.Config{}, fmt.Errorf("service: session alpha %v outside [0, 1]", c.Alpha)
 	}
+	if c.Alpha == 0 {
+		budget := s.cfg.MemoryBudget
+		if budget < 0 {
+			budget = DefaultMemoryBudget
+		}
+		window := int64(c.Window)
+		if window <= 0 {
+			window = stream.DefaultWindow
+		}
+		perEpoch := 16 * int64(len(in.Objects)) * int64(in.N())
+		if perEpoch > 0 && window > budget/perEpoch {
+			return stream.Config{}, fmt.Errorf("service: session window of %d epochs over %d objects × %d nodes needs more than the %d-byte memory budget (at most %d epochs)",
+				window, len(in.Objects), in.N(), budget, budget/perEpoch)
+		}
+	}
 	return stream.Config{
 		Epoch:           c.Epoch,
 		Window:          c.Window,
@@ -61,7 +77,7 @@ func (c SessionConfig) streamConfig(runWorkers, parallel int) (stream.Config, er
 		Horizon:         c.Horizon,
 		Payback:         c.Payback,
 		MigrationFactor: c.MigrationFactor,
-		Solve:           opts.coreOptions(runWorkers, parallel),
+		Solve:           opts.coreOptions(s.engine.runWorkers()),
 	}, nil
 }
 
@@ -336,7 +352,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ErrNotFound)
 		return
 	}
-	cfg, err := req.Config.streamConfig(s.engine.runWorkers(), s.cfg.Parallel)
+	cfg, err := s.sessionConfig(req.Config, in)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -193,5 +195,34 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := c.SessionEvents(ctx, "s-ffffff", []SessionEvent{{Obj: "obj", Node: 0}}); err == nil ||
 		!strings.Contains(err.Error(), "404") && !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("missing session error wrong: %v", err)
+	}
+}
+
+// A sliding window's estimator ring — 2 × Window count matrices of
+// objects × nodes int64s — is allocated when the session opens, so an
+// open whose ring would outgrow the memory budget is refused with a 400
+// before anything is allocated, and creates no session.
+func TestSessionWindowBoundedByMemoryBudget(t *testing.T) {
+	ctx := context.Background()
+	srv, c := newTestServer(t, Config{MemoryBudget: 1 << 20})
+	up, err := c.Upload(ctx, "window", crashInstance(t)) // 24 nodes × 3 objects: 1152 ring bytes per epoch
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 9000 epochs ask for about 10 MB of counts, ten times the budget.
+	_, err = c.OpenSession(ctx, up.ID, SessionConfig{Window: 9000})
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Message, "window") {
+		t.Fatalf("oversized window: %v, want a 400 naming the window", err)
+	}
+	if st := srv.Stats(); st.SessionsOpen != 0 || st.SessionsOpened != 0 {
+		t.Fatalf("refused open left a session: %+v", st)
+	}
+	// The largest ring that fits opens, and an EWMA keeps no ring at all.
+	if _, err := c.OpenSession(ctx, up.ID, SessionConfig{Window: (1 << 20) / 1152}); err != nil {
+		t.Fatalf("window at the budget refused: %v", err)
+	}
+	if _, err := c.OpenSession(ctx, up.ID, SessionConfig{Window: 9000, Alpha: 0.5}); err != nil {
+		t.Fatalf("EWMA session refused: %v", err)
 	}
 }

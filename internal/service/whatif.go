@@ -199,13 +199,8 @@ func (e *Engine) baseFor(ctx context.Context, id string, in *core.Instance, info
 				return nil, fmt.Errorf("%w: base placement does not fit instance: %v", ErrInternal, err)
 			}
 			rec := &baseRecord{placement: p, raw: make([]core.Breakdown, len(in.Objects))}
-			// Pricing honours the request's parallel knob: on large
-			// instances a copy set past the oracle's row budget needs its
-			// rows rebuilt, and the batched prefetch is the difference
-			// between one sweep at a time and all cores.
-			par := e.lowerOptions(opts, 1).Parallel
 			for i := range in.Objects {
-				rec.raw[i] = in.ObjectCostRawParallel(&in.Objects[i], p.Copies[i], par)
+				rec.raw[i] = in.ObjectCostRaw(&in.Objects[i], p.Copies[i])
 			}
 			e.bases.Put(key, rec)
 			return rec, nil
@@ -245,10 +240,9 @@ func (e *Engine) scenarioIncremental(ctx context.Context, id string, in *core.In
 		if err != nil {
 			return SolveResult{}, err
 		}
-		// One object at a time: object-level fan-out is useless here, so
-		// intra-solve parallelism is the only way this path uses more than
-		// one core.
-		copt := e.lowerOptions(opts, 1)
+		// One object at a time: object-level fan-out is useless here; on
+		// large instances each object's solve shards across the cores.
+		copt := opts.coreOptions(1)
 		for _, i := range changed {
 			p.Copies[i] = core.ApproximateObject(scen, &scen.Objects[i], copt)
 		}
@@ -259,12 +253,11 @@ func (e *Engine) scenarioIncremental(ctx context.Context, id string, in *core.In
 		isChanged[i] = true
 	}
 	var b core.Breakdown
-	par := e.lowerOptions(opts, 1).Parallel
 	for i := range patched {
 		obj := &scen.Objects[i]
 		var raw core.Breakdown
 		if isChanged[i] {
-			raw = scen.ObjectCostRawParallel(obj, p.Copies[i], par)
+			raw = scen.ObjectCostRaw(obj, p.Copies[i])
 		} else {
 			raw = base.raw[i]
 		}

@@ -48,7 +48,7 @@ func TestNearestCopyScanPathMatchesPointQueries(t *testing.T) {
 	run := func(backend core.MetricBackend, rows int) (Stats, core.Placement, []EpochReport) {
 		in := gridInstance(t, side, objects, 5)
 		in.UseMetric(backend, rows)
-		eng := New(in, Config{Epoch: 48, Window: 2, Solve: core.Options{Parallel: 1}})
+		eng := New(in, Config{Epoch: 48, Window: 2})
 		var reps []EpochReport
 		for _, r := range mkTrace() {
 			rep, err := eng.Observe(r)

@@ -75,9 +75,9 @@ type Config struct {
 	MigrationFactor float64
 	// Solve configures the per-object re-solve (see core.Options).
 	// Epoch closes re-solve one object at a time, so object-level
-	// Workers cannot help them; set Solve.Parallel (negative for all
-	// cores) to shard each re-solve's radius scans instead — output is
-	// byte-identical to serial.
+	// Workers cannot help them; each re-solve shards its radius scans
+	// by instance size alone (serial below metric.AutoParallelMinNodes
+	// nodes), with output byte-identical to serial.
 	Solve core.Options
 	// SolveGate, when non-nil, wraps each epoch close's re-solve and
 	// re-placement work, e.g. to time it; it must call solve exactly
@@ -339,9 +339,7 @@ func (e *Engine) Observe(r workload.Request) (*EpochReport, error) {
 	}
 	e.report.Transmission += size * best
 	if r.Write && len(st.copies) > 1 {
-		// The multicast price honours the session's parallel knob: a copy
-		// set past the row budget rebuilds its rows, batched when allowed.
-		e.report.Transmission += size * metric.PairwiseMSTParallel(o, st.copies, e.cfg.Solve.Parallel)
+		e.report.Transmission += size * metric.PairwiseMST(o, st.copies)
 	}
 	e.est.Observe(r)
 	e.stats.Events++
@@ -420,8 +418,8 @@ func (e *Engine) closeEpoch() *EpochReport {
 			}
 			// Hysteresis: estimated saving per epoch must pay the migration
 			// transfer back within Payback epochs.
-			curCost := scen.ObjectCostParallel(obj, st.copies, e.cfg.Solve.Parallel).Total()
-			candCost := scen.ObjectCostParallel(obj, cand, e.cfg.Solve.Parallel).Total()
+			curCost := scen.ObjectCost(obj, st.copies).Total()
+			candCost := scen.ObjectCost(obj, cand).Total()
 			saving := curCost - candCost // per Horizon events
 			transfer := e.migrationCost(o, i, st.copies, cand)
 			if e.cfg.MigrationFactor >= 0 {
