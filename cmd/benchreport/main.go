@@ -172,14 +172,15 @@ func kernels() []kernel {
 	// gates with -gate-par). Each X_par kernel runs at the ambient
 	// GOMAXPROCS; its serial twin X is the same kernel at GOMAXPROCS 1,
 	// where the size rule resolves every sharded scan to one goroutine.
-	// Both halves of solve_50k_lazy place one object at a time, so the
-	// pair measures one object's sharded solve, not object fan-out.
+	// Both halves of solve_50k_lazy and of stream_epoch_50k place one
+	// object at a time (Workers: 1), so each pair measures one object's
+	// sharded solve, not object fan-out.
 	for _, k := range []kernel{
 		{"solve_50k_lazy", "50k", benchSolve(benchkit.LargeInstance, 2, oneObject)},
 		{"whatif_50k", "50k", func(b *testing.B) {
 			benchWhatIf(b, service.Config{Workers: 2}, benchkit.LargeInstance(2))
 		}},
-		{"stream_epoch_50k", "50k", benchStreamEpochLarge(lazyOpts, 2)},
+		{"stream_epoch_50k", "50k", benchStreamEpochLarge(oneObject, 2)},
 	} {
 		serial := func(b *testing.B) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

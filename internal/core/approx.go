@@ -31,13 +31,14 @@ type Options struct {
 	SkipPhase2 bool
 	SkipPhase3 bool
 	// Workers bounds the goroutines placing whole objects concurrently —
-	// object-level parallelism, the fan-out Approximate uses when an
-	// instance has several (representative) objects. 0 and negative
-	// values select GOMAXPROCS; 1 runs sequentially. The result is
-	// bit-identical to the sequential run either way. A single object's
-	// solve shards by instance size alone: serial below
+	// object-level parallelism, the fan-out of ApproximateObjects, which
+	// Approximate runs over an instance's demand-group representatives.
+	// 0 and negative values select GOMAXPROCS; 1 runs sequentially. The
+	// result is bit-identical to the sequential run either way. A single
+	// object's solve shards by instance size alone: serial below
 	// metric.AutoParallelMinNodes nodes, GOMAXPROCS at or above (see
-	// docs/tuning.md).
+	// docs/tuning.md). The placement service sets it per run from the
+	// worker slots the run holds.
 	Workers int
 	// Metric overrides the instance's distance-oracle backend for this
 	// solve (MetricAuto keeps whatever the instance selects).
@@ -156,7 +157,6 @@ func approximate(in *Instance, opt Options, par int) Placement {
 	if opt.Metric != MetricAuto {
 		in.UseMetric(opt.Metric, opt.MetricRows)
 	}
-	p := Placement{Copies: make([][]int, len(in.Objects))}
 	rep := demandGroups(in)
 	reps := make([]int, 0, len(in.Objects))
 	for i, r := range rep {
@@ -164,37 +164,10 @@ func approximate(in *Instance, opt Options, par int) Placement {
 			reps = append(reps, i)
 		}
 	}
-	workers := opt.workers()
-	if workers > len(reps) {
-		workers = len(reps)
-	}
-	if workers <= 1 {
-		ws := solvePool.Get().(*solveWS)
-		for _, i := range reps {
-			p.Copies[i] = approximateObject(in, &in.Objects[i], opt, ws, par)
-		}
-		putSolveWS(ws)
-	} else {
-		in.Metric() // resolve the shared oracle before fanning out
-		var next int64 = -1
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				ws := solvePool.Get().(*solveWS)
-				defer putSolveWS(ws)
-				for {
-					k := int(atomic.AddInt64(&next, 1))
-					if k >= len(reps) {
-						return
-					}
-					i := reps[k]
-					p.Copies[i] = approximateObject(in, &in.Objects[i], opt, ws, par)
-				}
-			}()
-		}
-		wg.Wait()
+	solved := approximateObjects(in, reps, opt, par)
+	p := Placement{Copies: make([][]int, len(in.Objects))}
+	for k, i := range reps {
+		p.Copies[i] = solved[k]
 	}
 	for i, r := range rep {
 		if r != i {
@@ -202,6 +175,57 @@ func approximate(in *Instance, opt Options, par int) Placement {
 		}
 	}
 	return p
+}
+
+// ApproximateObjects places the listed objects of in (indexes into
+// in.Objects) with the paper's three-phase algorithm; out[k] is objs[k]'s
+// copy set. Objects are placed independently, so it fans them out across
+// opt.Workers goroutines (see Options.Workers), each with its own pooled
+// workspace, and the result is byte-identical to placing every object
+// alone. It solves on the instance's current oracle: opt.Metric and
+// opt.MetricRows are not applied. It is the kernel behind Approximate and
+// the callers that re-solve only some objects — the placement service's
+// incremental what-if path and the streaming engine's epoch close.
+func ApproximateObjects(in *Instance, objs []int, opt Options) [][]int {
+	return approximateObjects(in, objs, opt, 0)
+}
+
+// approximateObjects is ApproximateObjects with every object's solve
+// sharded across par goroutines (0: the size rule).
+func approximateObjects(in *Instance, objs []int, opt Options, par int) [][]int {
+	out := make([][]int, len(objs))
+	workers := opt.workers()
+	if workers > len(objs) {
+		workers = len(objs)
+	}
+	if workers <= 1 {
+		ws := solvePool.Get().(*solveWS)
+		for k, i := range objs {
+			out[k] = approximateObject(in, &in.Objects[i], opt, ws, par)
+		}
+		putSolveWS(ws)
+		return out
+	}
+	in.Metric() // resolve the shared oracle before fanning out
+	var next int64 = -1
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			ws := solvePool.Get().(*solveWS)
+			defer putSolveWS(ws)
+			for {
+				k := int(atomic.AddInt64(&next, 1))
+				if k >= len(objs) {
+					return
+				}
+				out[k] = approximateObject(in, &in.Objects[objs[k]], opt, ws, par)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // demandGroups assigns every object the index of its representative: the
@@ -265,17 +289,6 @@ func sameDemand(a, b *Object) bool {
 		}
 	}
 	return true
-}
-
-// ApproximateObject places a single object with the paper's three-phase
-// algorithm, borrowing pooled scratch. It is the kernel behind Approximate
-// and the placement service's incremental what-if path, which re-solves
-// only the objects a scenario actually changed.
-func ApproximateObject(in *Instance, obj *Object, opt Options) []int {
-	ws := solvePool.Get().(*solveWS)
-	out := approximateObject(in, obj, opt, ws, 0)
-	putSolveWS(ws)
-	return out
 }
 
 // approximateObject places a single object using the given workspace,

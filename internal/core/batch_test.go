@@ -3,12 +3,14 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 )
 
 // TestDemandGroupBatching pins the batched solve's contract: objects with
 // identical request multisets and write totals share one representative
-// solve, and the result — sequential, parallel, or via the single-object
+// solve, and the result — sequential, parallel, or via the object-list
 // kernel — is identical to solving every object from scratch.
 func TestDemandGroupBatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -48,7 +50,7 @@ func TestDemandGroupBatching(t *testing.T) {
 		t.Fatalf("parallel batched solve diverged from sequential:\n%v\n%v", par.Copies, got.Copies)
 	}
 	for i := range batched.Objects {
-		want := ApproximateObject(batched, &batched.Objects[i], Options{Workers: 1})
+		want := ApproximateObjects(batched, []int{i}, Options{Workers: 1})[0]
 		if !reflect.DeepEqual(got.Copies[i], want) {
 			t.Fatalf("object %d: batched copies %v, from-scratch %v", i, got.Copies[i], want)
 		}
@@ -58,5 +60,65 @@ func TestDemandGroupBatching(t *testing.T) {
 	got.Copies[len(in.Objects)][0] = -1
 	if got.Copies[0][0] == -1 {
 		t.Fatal("grouped objects share a copy-set backing array")
+	}
+}
+
+// TestApproximateObjectsMatchesAlone: the object-list kernel equals
+// placing each listed object alone, whatever the list (empty, one object,
+// every object, shuffled subsets, repeats and demand-identical objects)
+// and whatever the width: the object fan-out at 1, 2, 4, 8 and GOMAXPROCS
+// goroutines, alone and composed with per-object sharding through the
+// unexported seams, including Approximate's fan-out over its demand-group
+// representatives. Random instances on Dense, evicting Lazy and Tree.
+func TestApproximateObjectsMatchesAlone(t *testing.T) {
+	widths := []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)}
+	for seed := int64(0); seed < 3; seed++ {
+		for _, tree := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(100 + seed))
+			base := intWeightInstance(rng, 12+rng.Intn(12), 4, tree)
+			// Objects 4 and 5 repeat object 1's demand under other names.
+			objs := append([]Object(nil), base.Objects...)
+			for _, name := range []string{"twin-a", "twin-b"} {
+				objs = append(objs, Object{Name: name,
+					Reads:  append([]int64(nil), base.Objects[1].Reads...),
+					Writes: append([]int64(nil), base.Objects[1].Writes...)})
+			}
+			all := []int{0, 1, 2, 3, 4, 5}
+			lists := [][]int{
+				{}, {2}, all,
+				rng.Perm(len(objs)), rng.Perm(len(objs))[:3],
+				{5, 1, 4}, {3, 3, 0},
+			}
+			for _, b := range instanceBackends(tree) {
+				in := MustInstance(base.G, base.Storage, objs)
+				in.UseMetric(b, 3)
+				alone := make([][]int, len(in.Objects))
+				for i := range in.Objects {
+					alone[i] = solveObjectAt(in, &in.Objects[i], Options{}, 1)
+				}
+				check := func(how string, list []int, got [][]int) {
+					t.Helper()
+					if len(got) != len(list) {
+						t.Fatalf("seed %d tree=%v %v %s list %v: %d copy sets", seed, tree, b, how, list, len(got))
+					}
+					for k, i := range list {
+						if !reflect.DeepEqual(got[k], alone[i]) {
+							t.Fatalf("seed %d tree=%v %v %s list %v: object %d got %v, alone %v",
+								seed, tree, b, how, list, i, got[k], alone[i])
+						}
+					}
+				}
+				for j, w := range widths {
+					opt := Options{Workers: w}
+					for _, list := range lists {
+						check("workers "+strconv.Itoa(w), list, ApproximateObjects(in, list, opt))
+					}
+					par := widths[len(widths)-1-j] // pairs 1 with GOMAXPROCS, 8 with 2
+
+					check("sharded "+strconv.Itoa(par), all, approximateObjects(in, all, opt, par))
+					check("approximate sharded "+strconv.Itoa(par), all, approximate(in, opt, par).Copies)
+				}
+			}
+		}
 	}
 }

@@ -262,10 +262,11 @@ func NewEngine(cfg Config, reg *Registry, ct *counters) *Engine {
 // Registry returns the engine's instance registry.
 func (e *Engine) Registry() *Registry { return e.registry }
 
-// runWorkers is the object-level parallelism granted to one solver run:
+// runWorkers is the object-level parallelism one worker slot pays for:
 // the machine's cores divided across the worker pool, at least 1 — so a
 // single-slot pool still solves at full speed while a saturated pool does
-// not oversubscribe the scheduler cfg.Workers × GOMAXPROCS-fold.
+// not oversubscribe the scheduler cfg.Workers × GOMAXPROCS-fold. A run
+// that finds other slots free borrows them (see lend).
 func (e *Engine) runWorkers() int {
 	w := runtime.GOMAXPROCS(0) / e.cfg.Workers
 	if w < 1 {
@@ -428,11 +429,12 @@ func (e *Engine) run(ctx context.Context, id string, in *core.Instance, opts Sol
 
 // solveInstance dispatches one solver run on an assembled instance — the
 // shared kernel of the resident-instance path (run) and the what-if
-// fallback path (scenarioFull). The float64 result is the Section 3 tree
-// cost, non-zero only for algo=tree. It applies the metric override for
-// every algorithm (validateFor has already vetted it): the baselines and
-// the exact solvers read distances through in.Metric() just like approx
-// does.
+// fallback path (scenarioFull), both of which hold a worker slot; an
+// approx run widens itself with lent slots (see lend). The float64
+// result is the Section 3 tree cost, non-zero only for algo=tree. It
+// applies the metric override for every algorithm (validateFor has
+// already vetted it): the baselines and the exact solvers read distances
+// through in.Metric() just like approx does.
 func (e *Engine) solveInstance(ctx context.Context, in *core.Instance, opts SolveOptions) (core.Placement, float64, error) {
 	if b := metricBackends[opts.Metric]; b != core.MetricAuto {
 		in.UseMetric(b, opts.MetricRows)
@@ -459,7 +461,9 @@ func (e *Engine) solveInstance(ctx context.Context, in *core.Instance, opts Solv
 	case "fl-only":
 		return core.FacilityOnly(in, flSolvers[opts.FL]), 0, nil
 	default: // "approx"
-		return core.Approximate(in, opts.coreOptions(e.runWorkers())), 0, nil
+		workers, release := e.lend(len(in.Objects))
+		defer release()
+		return core.Approximate(in, opts.coreOptions(workers)), 0, nil
 	}
 }
 

@@ -34,9 +34,11 @@ func clusteredServiceInstance(t *testing.T, objects int) *core.Instance {
 // TestConcurrentSessionResolvesParallelRace hammers several streaming
 // sessions at once, so session epoch re-solves (concurrent lazy-oracle
 // access) overlap with each other and with concurrent what-if scenarios
-// on the default schedule. Run with -race; every session must end on the
-// same placement. The core package's TestConcurrentShardedSolvesRace
-// covers the sharded scans at a forced width.
+// on the default schedule, each run borrowing whatever worker slots it
+// finds free. Run with -race; every session must end on the same
+// placement, and every slot must come back. The core package's
+// TestConcurrentShardedSolvesRace covers the sharded scans at a forced
+// width.
 func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 	srv, c := newTestServer(t, Config{Workers: 4})
 	ctx := context.Background()
@@ -86,7 +88,7 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 		}(sid)
 	}
 	// Concurrent what-if pressure through the same engine and oracle: the
-	// incremental path re-solves one object at a time.
+	// incremental path re-solves the one patched object.
 	for k := 0; k < 2; k++ {
 		wg.Add(1)
 		go func(k int) {
@@ -106,6 +108,10 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+	if st := srv.Stats(); len(srv.engine.sem) != 0 || st.InFlightSolves != 0 || st.QueueDepth != 0 {
+		t.Fatalf("after the hammer: %d slots held, in_flight_solves %d, queue_depth %d; want all 0",
+			len(srv.engine.sem), st.InFlightSolves, st.QueueDepth)
+	}
 
 	var want map[string][]int
 	for i, sid := range ids {

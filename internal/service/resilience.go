@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 )
@@ -91,6 +92,37 @@ func (e *Engine) slot(ctx context.Context) (release func(), err error) {
 		e.counters.inflight.Add(-1)
 		<-e.sem
 	}, nil
+}
+
+// lend widens an algo=approx run that already holds its own worker slot:
+// without waiting, it takes every further free slot the run's objects can
+// use — at most ⌈min(objects, GOMAXPROCS) ÷ runWorkers()⌉ − 1 — and
+// returns how many goroutines to place them on (slots held ×
+// runWorkers(), capped at objects and GOMAXPROCS) with the release of the
+// lent slots. A lender never waits, so two lending runs cannot deadlock,
+// and it never takes a slot a request is blocked on in slot: a receive
+// from a full buffered channel moves a blocked sender's value into the
+// freed space before any later non-blocking send can take it. Lent slots
+// are not admissions; queue_depth and in_flight_solves do not count them.
+func (e *Engine) lend(objects int) (workers int, release func()) {
+	per := e.runWorkers()
+	useful := min(objects, runtime.GOMAXPROCS(0))
+	lent := 0
+lending:
+	for (lent+1)*per < useful {
+		select {
+		case e.sem <- struct{}{}:
+			lent++
+		default:
+			break lending
+		}
+	}
+	e.counters.lentSlots.Add(int64(lent))
+	return max(1, min((lent+1)*per, useful)), func() {
+		for range lent {
+			<-e.sem
+		}
+	}
 }
 
 // checkDeadline rejects on arrival a request whose context deadline is

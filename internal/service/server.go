@@ -195,6 +195,7 @@ func (s *Server) Stats() Stats {
 		Workers:            s.cfg.Workers,
 		SharedSolves:       s.counters.shared.Load(),
 		InFlightSolves:     s.counters.inflight.Load(),
+		LentSlots:          s.counters.lentSlots.Load(),
 		SolveErrors:        s.counters.errors.Load(),
 		Simulations:        s.counters.simulations.Load(),
 		WhatIfScenarios:    scenarios,

@@ -42,9 +42,13 @@ type Config struct {
 	// DefaultCacheEntries; negative disables caching.
 	CacheEntries int
 	// Workers bounds concurrently executing solver runs (batched what-if
-	// variants queue behind it). 0 selects GOMAXPROCS. Each run places
-	// its objects on GOMAXPROCS ÷ Workers goroutines (at least one); how
-	// many goroutines share one object's solve follows the instance size
+	// variants queue behind it). 0 selects GOMAXPROCS. Each run holds one
+	// worker slot, worth GOMAXPROCS ÷ Workers goroutines (at least one);
+	// an algo=approx run — a solve, a what-if scenario or a session epoch
+	// close — also borrows, without waiting, every further free slot its
+	// objects can use, and places its objects on the goroutines its slots
+	// pay for, capped at its object count and GOMAXPROCS. How many
+	// goroutines share one object's solve follows the instance size
 	// alone: one below metric.AutoParallelMinNodes nodes, GOMAXPROCS at
 	// or above (see docs/tuning.md).
 	Workers int
@@ -191,6 +195,7 @@ type counters struct {
 	shared      atomic.Int64 // solves that joined an in-flight identical run
 	errors      atomic.Int64 // solver runs that returned an error
 	inflight    atomic.Int64 // currently executing solver runs
+	lentSlots   atomic.Int64 // free worker slots lent to running runs (monotonic)
 	evictions   atomic.Int64 // instances evicted under the memory budget
 	simulations atomic.Int64 // message-level simulation runs
 
@@ -262,6 +267,11 @@ type Stats struct {
 	SharedSolves int64 `json:"shared_solves"`
 	// InFlightSolves is the number of solver runs executing right now.
 	InFlightSolves int64 `json:"in_flight_solves"`
+	// LentSlots counts the free worker slots lent to running algo=approx
+	// runs to widen their object fan-out (monotonic; see docs/tuning.md).
+	// A lent slot is not a run: InFlightSolves and QueueDepth do not
+	// count it.
+	LentSlots int64 `json:"lent_slots"`
 	// SolveErrors counts solver runs that failed (including cancellations).
 	SolveErrors int64 `json:"solve_errors"`
 	// Simulations counts message-level simulation runs.

@@ -35,7 +35,7 @@ type SessionConfig struct {
 	// decision; negative disables hysteresis.
 	MigrationFactor float64 `json:"migration_factor,omitempty"`
 	// Options configures the per-epoch re-solve (approx algorithm only;
-	// the incremental path re-solves object by object).
+	// each close re-solves just the objects whose estimates changed).
 	Options SolveOptions `json:"options,omitzero"`
 }
 
@@ -526,8 +526,9 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 
 // applyBatch journals a validated batch of total expanded events and
 // feeds it to the session's engine. Called with sess.mu held. A batch
-// that will close an epoch first takes the re-solve's worker slot and
-// holds it until the last Observe returns; a cancelled or expired wait
+// that will close an epoch first takes the re-solve's worker slot, plus
+// any free slots it can borrow to widen its closes (see lend), and holds
+// them until the last Observe returns; a cancelled or expired wait
 // returns the context's error with nothing journaled or applied, so
 // every applied epoch re-solves and a retry applies the batch.
 func (s *Server) applyBatch(ctx context.Context, sess *Session, req SessionEventsRequest, objOf []int, total int) (SessionEventsResponse, error) {
@@ -538,6 +539,9 @@ func (s *Server) applyBatch(ctx context.Context, sess *Session, req SessionEvent
 			return resp, err
 		}
 		defer release()
+		workers, giveBack := s.engine.lend(len(sess.instance.Objects))
+		defer giveBack()
+		sess.engine.SetWorkers(workers)
 	}
 	if sess.log != nil {
 		// Journal the expanded batch and make it durable BEFORE the first
@@ -623,7 +627,10 @@ func (s *Server) handleSessionFlush(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
+		workers, giveBack := s.engine.lend(len(sess.instance.Objects))
+		sess.engine.SetWorkers(workers)
 		rep := sess.engine.Flush()
+		giveBack()
 		release()
 		resp.Epochs = append(resp.Epochs, s.recordEpoch(rep))
 	}

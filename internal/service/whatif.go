@@ -240,13 +240,16 @@ func (e *Engine) scenarioIncremental(ctx context.Context, id string, in *core.In
 		if err != nil {
 			return SolveResult{}, err
 		}
-		// One object at a time: object-level fan-out is useless here; on
-		// large instances each object's solve shards across the cores.
-		copt := opts.coreOptions(1)
-		for _, i := range changed {
-			p.Copies[i] = core.ApproximateObject(scen, &scen.Objects[i], copt)
-		}
+		// The changed objects fan out over this run's slot plus any free
+		// slots it can borrow; on large instances each object's solve also
+		// shards across the cores.
+		workers, giveBack := e.lend(len(changed))
+		solved := core.ApproximateObjects(scen, changed, opts.coreOptions(workers))
+		giveBack()
 		release()
+		for k, i := range changed {
+			p.Copies[i] = solved[k]
+		}
 	}
 	isChanged := make(map[int]bool, len(changed))
 	for _, i := range changed {

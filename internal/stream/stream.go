@@ -7,9 +7,10 @@
 // sliding-window or EWMA frequency estimates per object and node, and at
 // every epoch boundary re-solves the placement from the estimates through
 // the same incremental demand-patch machinery the service's what-if path
-// uses (core.Instance.WithObjects + core.ApproximateObject): only objects
+// uses (core.Instance.WithObjects + core.ApproximateObjects): only objects
 // whose quantised estimates changed since the last solve are re-placed,
-// the rest keep their copy sets verbatim. A hysteresis rule prices every
+// fanned out across Config.Solve.Workers goroutines, and the rest keep
+// their copy sets verbatim. A hysteresis rule prices every
 // proposed move — a copy materialising on a new node pays a migration
 // transfer from the nearest existing copy, at metric distance — and only
 // adopts moves whose estimated per-epoch saving pays that price back
@@ -73,11 +74,14 @@ type Config struct {
 	// transfer). 0 selects 1; negative disables hysteresis entirely —
 	// every re-solved placement is adopted as-is.
 	MigrationFactor float64
-	// Solve configures the per-object re-solve (see core.Options).
-	// Epoch closes re-solve one object at a time, so object-level
-	// Workers cannot help them; each re-solve shards its radius scans
-	// by instance size alone (serial below metric.AutoParallelMinNodes
-	// nodes), with output byte-identical to serial.
+	// Solve configures the epoch close's re-solve (see core.Options). A
+	// close places its changed objects on Solve.Workers goroutines (0
+	// selects GOMAXPROCS, as in core; SetWorkers changes it between
+	// closes), and each object's solve shards its radius scans by
+	// instance size alone (serial below metric.AutoParallelMinNodes
+	// nodes). Reports, placements and state are byte-identical at every
+	// width. Metric and MetricRows are not applied: closes solve on the
+	// instance's own oracle.
 	Solve core.Options
 	// SolveGate, when non-nil, wraps each epoch close's re-solve and
 	// re-placement work, e.g. to time it; it must call solve exactly
@@ -272,6 +276,12 @@ func New(in *core.Instance, cfg Config) *Engine {
 // Config returns the engine's resolved configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
+// SetWorkers sets how many goroutines the following epoch closes place
+// their changed objects on (Config().Solve.Workers; 0 selects
+// GOMAXPROCS). The width changes no report, placement or state; the
+// placement service widens each close by the worker slots it finds free.
+func (e *Engine) SetWorkers(n int) { e.cfg.Solve.Workers = n }
+
 // Pending returns the number of events in the open epoch; the epoch
 // closes when it reaches Config().Epoch.
 func (e *Engine) Pending() int { return e.fill }
@@ -374,8 +384,8 @@ func (e *Engine) closeEpoch() *EpochReport {
 		core.QuantiseDemand(obj.Writes, e.est.WriteRate(i), float64(e.cfg.Horizon))
 	}
 	// Re-solve exactly the objects whose quantised estimates changed since
-	// their last solve — the same object-at-a-time incremental path the
-	// service's what-if scenarios use.
+	// their last solve — the same incremental path the service's what-if
+	// scenarios use.
 	scen, err := e.in.WithObjects(e.estObjects)
 	if err != nil {
 		// Quantised estimates are structurally valid by construction
@@ -385,6 +395,8 @@ func (e *Engine) closeEpoch() *EpochReport {
 	}
 	o := e.oracle
 	replace := func() {
+		// Pass 1: find the changed objects and record their estimates.
+		var changed []int
 		for i := range e.objs {
 			st := &e.objs[i]
 			obj := &scen.Objects[i]
@@ -396,7 +408,7 @@ func (e *Engine) closeEpoch() *EpochReport {
 			if st.solved != nil && w == st.solvedW && slices.Equal(req, st.solved) {
 				continue // estimate unchanged: placement kept verbatim
 			}
-			cand := core.ApproximateObject(scen, obj, e.cfg.Solve)
+			changed = append(changed, i)
 			rep.Resolved++
 			e.stats.Resolves++
 			if st.solved == nil {
@@ -404,7 +416,15 @@ func (e *Engine) closeEpoch() *EpochReport {
 			}
 			copy(st.solved, req)
 			st.solvedW = w
-
+		}
+		// Pass 2: place them all at once, fanned out over Solve.Workers.
+		cands := core.ApproximateObjects(scen, changed, e.cfg.Solve)
+		// Pass 3: hysteresis, migration pricing and counters in object
+		// order, so every float sum keeps its serial order.
+		for k, i := range changed {
+			st := &e.objs[i]
+			obj := &scen.Objects[i]
+			cand := cands[k]
 			if slices.Equal(cand, st.copies) {
 				continue
 			}
