@@ -203,7 +203,8 @@ func benchSolveBackend(b *testing.B, side int, backend core.MetricBackend) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		in := largeGridInstance(side) // fresh instance: include metric build cost
-		p := core.Approximate(in, core.Options{Metric: backend, MetricRows: 64})
+		in.UseMetric(backend, 64)
+		p := core.Approximate(in, core.Options{})
 		benchSink += float64(len(p.Copies[0]))
 	}
 }
@@ -230,7 +231,8 @@ func BenchmarkSolveInterconnect46kLazy(b *testing.B) {
 			}
 		}
 		in := core.MustInstance(g, storage, []core.Object{obj})
-		p := core.Approximate(in, core.Options{Metric: core.MetricLazy, MetricRows: 64})
+		in.UseMetric(core.MetricLazy, 64)
+		p := core.Approximate(in, core.Options{})
 		benchSink += float64(len(p.Copies[0]))
 	}
 }
@@ -250,11 +252,11 @@ func residentInstance(objects int) *core.Instance {
 // the solve pipeline itself (facility location, radii, phases, scratch).
 func BenchmarkResidentSolve2500Lazy(b *testing.B) {
 	in := residentInstance(8)
-	core.Approximate(in, core.Options{Metric: core.MetricLazy, MetricRows: 64}) // warm oracle + pools
+	core.Approximate(in, core.Options{}) // warm oracle + pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := core.Approximate(in, core.Options{Metric: core.MetricLazy, MetricRows: 64})
+		p := core.Approximate(in, core.Options{})
 		benchSink += float64(len(p.Copies[0]))
 	}
 }
@@ -263,7 +265,7 @@ func BenchmarkResidentSolve2500Lazy(b *testing.B) {
 // warm instance — the kernel behind cost evaluation and what-if splicing.
 func BenchmarkResidentObjectCost2500Lazy(b *testing.B) {
 	in := residentInstance(1)
-	p := core.Approximate(in, core.Options{Metric: core.MetricLazy, MetricRows: 64})
+	p := core.Approximate(in, core.Options{})
 	obj := &in.Objects[0]
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -278,7 +280,7 @@ func BenchmarkResidentObjectCost2500Lazy(b *testing.B) {
 // the same name.
 func BenchmarkResidentNearestOf2500Lazy(b *testing.B) {
 	in := residentInstance(1)
-	p := core.Approximate(in, core.Options{Metric: core.MetricLazy, MetricRows: 64})
+	p := core.Approximate(in, core.Options{})
 	o := in.Metric()
 	copies := p.Copies[0]
 	dst := make([]float64, in.N())
@@ -298,10 +300,7 @@ func BenchmarkStreamEpoch2500Lazy(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const epoch = 512
 	seq := workload.Sequence(in.Objects, epoch*64, rng)
-	eng := stream.New(in, stream.Config{
-		Epoch: epoch, Window: 4,
-		Solve: core.Options{Metric: core.MetricLazy, MetricRows: 64},
-	})
+	eng := stream.New(in, stream.Config{Epoch: epoch, Window: 4})
 	feed := func(k int) {
 		for i := 0; i < epoch; i++ {
 			if _, err := eng.Observe(seq[(k*epoch+i)%len(seq)]); err != nil {
@@ -320,7 +319,7 @@ func BenchmarkStreamEpoch2500Lazy(b *testing.B) {
 
 // BenchmarkLazyRowHitByBudget measures a cache-hit Row fetch with the cache
 // filled to capacity at several budgets. Hit cost must be independent of
-// MetricRows: the LRU bookkeeping is an intrusive list, not a scan of the
+// row budget: the LRU bookkeeping is an intrusive list, not a scan of the
 // eviction order.
 func BenchmarkLazyRowHitByBudget(b *testing.B) {
 	for _, rows := range []int{64, 256, 1024} {

@@ -102,10 +102,10 @@ type kernel struct {
 }
 
 // kernels enumerates the measured benchmarks in report order. Each entry
-// builds its own fixture outside the timed loop.
+// builds its own fixture outside the timed loop; the fixtures come with
+// their oracle installed (internal/benchkit: lazy, 64 rows).
 func kernels() []kernel {
-	lazyOpts := core.Options{Metric: core.MetricLazy, MetricRows: 64}
-	oneObject := core.Options{Metric: core.MetricLazy, MetricRows: 64, Workers: 1}
+	oneObject := core.Options{Workers: 1}
 	benchSolve := func(mk func(int) *core.Instance, objects int, opts core.Options) func(b *testing.B) {
 		return func(b *testing.B) {
 			in := mk(objects)
@@ -118,10 +118,10 @@ func kernels() []kernel {
 		}
 	}
 	ks := []kernel{
-		{"resident_solve_2500_lazy", "2500", benchSolve(residentInstance, 8, lazyOpts)},
+		{"resident_solve_2500_lazy", "2500", benchSolve(residentInstance, 8, core.Options{})},
 		{"resident_objectcost_2500_lazy", "2500", func(b *testing.B) {
 			in := residentInstance(1)
-			p := core.Approximate(in, lazyOpts)
+			p := core.Approximate(in, core.Options{})
 			obj := &in.Objects[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -130,7 +130,7 @@ func kernels() []kernel {
 		}},
 		{"resident_nearestof_2500_lazy", "2500", func(b *testing.B) {
 			in := residentInstance(1)
-			p := core.Approximate(in, lazyOpts)
+			p := core.Approximate(in, core.Options{})
 			o := in.Metric()
 			dst := make([]float64, in.N())
 			b.ResetTimer()
@@ -164,7 +164,7 @@ func kernels() []kernel {
 		// instance: 512 Observe calls (accounting against the warm lazy
 		// oracle) plus the epoch close (estimate roll, incremental
 		// re-solve of changed objects, hysteresis).
-		{"stream_epoch_2500", "2500", benchStreamEpoch(lazyOpts, residentInstance, 8)},
+		{"stream_epoch_2500", "2500", benchStreamEpoch(core.Options{}, residentInstance, 8)},
 	}
 	// The 50k tier: the sparse-grid acceptance topology, where one
 	// object's solve is heavy enough that sharding and batched row
@@ -257,7 +257,7 @@ func benchWhatIf(b *testing.B, cfg service.Config, in *core.Instance) {
 		reads[v] = int64(v % 7)
 	}
 	sc := service.Scenario{Objects: []service.ObjectPatch{{Name: in.Objects[0].Name, Reads: reads}}}
-	opts := service.SolveOptions{Metric: "lazy", MetricRows: 64}
+	var opts service.SolveOptions
 	// Warm the base solve so the loop measures scenario cost, not setup.
 	if _, err := srv.Engine().Scenario(ctx, info.ID, opts, sc); err != nil {
 		b.Fatal(err)

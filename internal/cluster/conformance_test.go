@@ -22,9 +22,8 @@ import (
 )
 
 // conformanceInstance mirrors the crash tests' shared fixture (a
-// 24-node path, integer weights, three objects with spread hot spots);
-// integer weights keep every oracle backend's distances exactly
-// representable, so byte-identity can span dense/lazy/tree.
+// 24-node path, integer weights, three objects with spread hot spots).
+// At 24 nodes the size rule gives it the dense oracle on every replica.
 func conformanceInstance(t *testing.T) *core.Instance {
 	t.Helper()
 	const n = 24
@@ -136,7 +135,7 @@ func replicaIndex(t *testing.T, h *Harness, url string) int {
 // and, on clusters of more than one, the owner's ring neighbour after
 // batch 7 — both between acked batches, so durable state is exactly the
 // acked prefix.
-func runClusterTrace(t *testing.T, n int, backend string, kills bool) []byte {
+func runClusterTrace(t *testing.T, n int, kills bool) []byte {
 	t.Helper()
 	ctx := context.Background()
 	h, err := NewHarness(HarnessConfig{N: n, BaseDir: t.TempDir()})
@@ -156,15 +155,7 @@ func runClusterTrace(t *testing.T, n int, backend string, kills bool) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the oracle backend over the wire, exactly as the in-process
-	// crash tests pin it directly: a solve with the metric option.
-	if _, err := sc.Solve(ctx, up.ID, service.SolveOptions{Metric: backend}); err != nil {
-		t.Fatalf("pin solve (%s): %v", backend, err)
-	}
-	sess, err := sc.OpenSession(ctx, up.ID, service.SessionConfig{
-		Epoch: 16, Window: 3,
-		Options: service.SolveOptions{Metric: backend},
-	})
+	sess, err := sc.OpenSession(ctx, up.ID, service.SessionConfig{Epoch: 16, Window: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,23 +237,23 @@ func runClusterTrace(t *testing.T, n int, backend string, kills bool) []byte {
 // restarted mid-replay, plus a second replica on larger clusters —
 // produces byte-identical placements, per-epoch cost reports, session
 // accounting, and summed /statz session counters to an uninterrupted
-// single-node run, across all three oracle backends.
+// single-node run. The subtest names the fixture's oracle: byte-identity
+// across the three backends through kill, recovery and injected faults
+// is checked in process by internal/service's crash and fault-injection
+// suites.
 func TestClusterConformanceByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process suite; skipped in -short mode")
 	}
-	sizes := clusterSizes(t)
-	for _, backend := range []string{"dense", "lazy", "tree"} {
-		t.Run(backend, func(t *testing.T) {
-			want := runClusterTrace(t, 1, backend, false)
-			for _, n := range sizes {
-				t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-					got := runClusterTrace(t, n, backend, true)
-					if !bytes.Equal(got, want) {
-						t.Errorf("cluster n=%d diverges from single node\n got %s\nwant %s", n, got, want)
-					}
-				})
-			}
-		})
-	}
+	t.Run("dense", func(t *testing.T) {
+		want := runClusterTrace(t, 1, false)
+		for _, n := range clusterSizes(t) {
+			t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+				got := runClusterTrace(t, n, true)
+				if !bytes.Equal(got, want) {
+					t.Errorf("cluster n=%d diverges from single node\n got %s\nwant %s", n, got, want)
+				}
+			})
+		}
+	})
 }

@@ -162,7 +162,7 @@ func waitPeerOpen(t *testing.T, c *service.Client, peer string) {
 // the healthy replica, and a stale failover read from the successor's
 // snapshot — heals, and finishes the trace. inA/inB nil means pick the
 // pair from the booted ring (they are returned for the baseline run).
-func runPartitionTrace(t *testing.T, backend string, n int, faults bool, inA, inB *core.Instance) ([]byte, *core.Instance, *core.Instance) {
+func runPartitionTrace(t *testing.T, n int, faults bool, inA, inB *core.Instance) ([]byte, *core.Instance, *core.Instance) {
 	t.Helper()
 	ctx := context.Background()
 	cfg := HarnessConfig{N: n, BaseDir: t.TempDir()}
@@ -210,13 +210,8 @@ func runPartitionTrace(t *testing.T, backend string, n int, faults bool, inA, in
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := service.SolveOptions{Metric: backend}
-	for _, id := range []string{upA.ID, upB.ID} {
-		if _, err := sc.Solve(ctx, id, opts); err != nil {
-			t.Fatalf("pin solve (%s): %v", backend, err)
-		}
-	}
-	scfg := service.SessionConfig{Epoch: 16, Window: 3, Options: opts}
+	var opts service.SolveOptions
+	scfg := service.SessionConfig{Epoch: 16, Window: 3}
 	sessA, err := sc.OpenSession(ctx, upA.ID, scfg)
 	if err != nil {
 		t.Fatal(err)
@@ -328,21 +323,19 @@ func runPartitionTrace(t *testing.T, backend string, n int, faults bool, inA, in
 // other shard normally, answering stale failover reads from the
 // successor's snapshot — converges, once healed, to per-session
 // epochs, placements, accounting, and summed session counters
-// byte-identical to an uninterrupted single-node run, across all three
-// oracle backends.
+// byte-identical to an uninterrupted single-node run. The subtest names
+// the fixture's oracle, as in TestClusterConformanceByteIdentical.
 func TestPartitionConformanceByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process suite; skipped in -short mode")
 	}
-	for _, backend := range []string{"dense", "lazy", "tree"} {
-		t.Run(backend, func(t *testing.T) {
-			got, inA, inB := runPartitionTrace(t, backend, 2, true, nil, nil)
-			want, _, _ := runPartitionTrace(t, backend, 1, false, inA, inB)
-			if !bytes.Equal(got, want) {
-				t.Errorf("partitioned cluster diverges from single node\n got %s\nwant %s", got, want)
-			}
-		})
-	}
+	t.Run("dense", func(t *testing.T) {
+		got, inA, inB := runPartitionTrace(t, 2, true, nil, nil)
+		want, _, _ := runPartitionTrace(t, 1, false, inA, inB)
+		if !bytes.Equal(got, want) {
+			t.Errorf("partitioned cluster diverges from single node\n got %s\nwant %s", got, want)
+		}
+	})
 }
 
 // TestBreakerFailFast exercises the server-side breaker through the
@@ -388,7 +381,7 @@ func TestBreakerFailFast(t *testing.T) {
 	if _, err := entry.Upload(ctx, "failfast", in); err != nil {
 		t.Fatal(err)
 	}
-	opts := service.SolveOptions{Metric: "dense"}
+	var opts service.SolveOptions
 	if _, err := entry.Solve(ctx, id, opts); err != nil {
 		t.Fatalf("pre-partition forwarded solve: %v", err)
 	}

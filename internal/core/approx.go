@@ -40,12 +40,6 @@ type Options struct {
 	// docs/tuning.md). The placement service sets it per run from the
 	// worker slots the run holds.
 	Workers int
-	// Metric overrides the instance's distance-oracle backend for this
-	// solve (MetricAuto keeps whatever the instance selects).
-	Metric MetricBackend
-	// MetricRows bounds the lazy backend's row cache, in rows; 0 selects
-	// the default budget. Ignored by the dense and tree backends.
-	MetricRows int
 }
 
 func (o Options) fl(n int) facility.Solver {
@@ -154,9 +148,6 @@ func Approximate(in *Instance, opt Options) Placement {
 // goroutines; 0 applies the size rule of metric.AutoWorkers. Only tests
 // pass a width, to reach the sharded scans on small instances.
 func approximate(in *Instance, opt Options, par int) Placement {
-	if opt.Metric != MetricAuto {
-		in.UseMetric(opt.Metric, opt.MetricRows)
-	}
 	rep := demandGroups(in)
 	reps := make([]int, 0, len(in.Objects))
 	for i, r := range rep {
@@ -182,10 +173,9 @@ func approximate(in *Instance, opt Options, par int) Placement {
 // copy set. Objects are placed independently, so it fans them out across
 // opt.Workers goroutines (see Options.Workers), each with its own pooled
 // workspace, and the result is byte-identical to placing every object
-// alone. It solves on the instance's current oracle: opt.Metric and
-// opt.MetricRows are not applied. It is the kernel behind Approximate and
-// the callers that re-solve only some objects — the placement service's
-// incremental what-if path and the streaming engine's epoch close.
+// alone. It is the kernel behind Approximate and the callers that re-solve
+// only some objects — the placement service's incremental what-if path
+// and the streaming engine's epoch close.
 func ApproximateObjects(in *Instance, objs []int, opt Options) [][]int {
 	return approximateObjects(in, objs, opt, 0)
 }

@@ -277,34 +277,15 @@ func (in *Instance) SetMetric(o metric.Oracle) {
 	in.oracle = o
 }
 
-// UseMetric selects a backend by name. cacheRows bounds the lazy backend's
-// row cache (0 selects the default budget); other backends ignore it. An
-// already-installed oracle of the requested backend is kept — except a lazy
-// oracle whose budget differs from an explicitly requested cacheRows, which
-// is rebuilt so MetricRows actually caps memory.
+// UseMetric builds the named backend and installs it, replacing any
+// oracle the instance holds. cacheRows bounds the lazy backend's row cache
+// (0 selects the default budget); other backends ignore it. It is the
+// in-process way to choose a backend: call it before solving, since no
+// solve option selects one.
 func (in *Instance) UseMetric(b MetricBackend, cacheRows int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.oracle != nil && backendOf(in.oracle) == b {
-		l, ok := in.oracle.(*metric.Lazy)
-		if !ok || cacheRows <= 0 || l.Budget() == cacheRows {
-			return
-		}
-	}
 	in.oracle = in.buildOracle(b, cacheRows)
-}
-
-// backendOf maps an oracle back to the selector that would build it.
-func backendOf(o metric.Oracle) MetricBackend {
-	switch o.Kind() {
-	case metric.KindDense:
-		return MetricDense
-	case metric.KindLazy:
-		return MetricLazy
-	case metric.KindTree:
-		return MetricTree
-	}
-	return MetricAuto
 }
 
 // buildOracle constructs the requested backend; called with in.mu held.

@@ -140,36 +140,30 @@ func TestBackendRestrictedEquivalence(t *testing.T) {
 	}
 }
 
-// TestMetricOptionOverride checks Options.Metric installs the requested
-// backend and MetricAuto respects the instance's own choice.
+// TestMetricOptionOverride checks that UseMetric installs the requested
+// backend and row budget, and that Approximate never replaces an
+// installed oracle.
 func TestMetricOptionOverride(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	in := intWeightInstance(rng, 12, 1, false)
-	Approximate(in, Options{Workers: 1, Metric: MetricLazy, MetricRows: 4})
-	if in.Metric().Kind() != metric.KindLazy {
-		t.Fatalf("Options.Metric did not install the lazy backend (got %v)", in.Metric().Kind())
+	in := intWeightInstance(rng, 12, 1, false) // 12 nodes: auto would pick dense
+	in.UseMetric(MetricLazy, 4)
+	lazy, ok := in.Metric().(*metric.Lazy)
+	if !ok || lazy.Budget() != 4 {
+		t.Fatalf("UseMetric(lazy, 4) installed %T %v", in.Metric(), in.Metric())
 	}
-	// Auto keeps the installed backend.
 	Approximate(in, Options{Workers: 1})
-	if in.Metric().Kind() != metric.KindLazy {
-		t.Fatal("MetricAuto overrode an explicitly selected backend")
+	Approximate(in, Options{Workers: 2, FL: facility.MettuPlaxton})
+	if in.Metric() != metric.Oracle(lazy) {
+		t.Fatal("Approximate replaced the installed oracle")
 	}
-	// Explicit dense replaces it.
-	Approximate(in, Options{Workers: 1, Metric: MetricDense})
+	// A second call replaces the oracle, budget included.
+	in.UseMetric(MetricLazy, 8)
+	if l, ok := in.Metric().(*metric.Lazy); !ok || l == lazy || l.Budget() != 8 {
+		t.Fatalf("UseMetric(lazy, 8) kept %T %v", in.Metric(), in.Metric())
+	}
+	in.UseMetric(MetricDense, 0)
 	if in.Metric().Kind() != metric.KindDense {
-		t.Fatal("Options.Metric dense did not replace the lazy backend")
-	}
-	// An explicit MetricRows differing from the installed lazy budget must
-	// rebuild the oracle so the cache cap actually applies.
-	Approximate(in, Options{Workers: 1, Metric: MetricLazy, MetricRows: 4})
-	Approximate(in, Options{Workers: 1, Metric: MetricLazy, MetricRows: 8})
-	if l, ok := in.Metric().(*metric.Lazy); !ok || l.Budget() != 8 {
-		t.Fatalf("MetricRows change ignored: %T budget %v", in.Metric(), in.Metric())
-	}
-	// MetricRows 0 keeps the installed lazy oracle (and its budget).
-	Approximate(in, Options{Workers: 1, Metric: MetricLazy})
-	if l, ok := in.Metric().(*metric.Lazy); !ok || l.Budget() != 8 {
-		t.Fatal("MetricRows 0 should keep the installed lazy oracle")
+		t.Fatalf("UseMetric(dense) installed %v", in.Metric().Kind())
 	}
 }
 
@@ -219,7 +213,8 @@ func TestLazySolve50k(t *testing.T) {
 		}
 	}
 	in := MustInstance(g, storage, []Object{obj})
-	p := Approximate(in, Options{Metric: MetricLazy, MetricRows: 64})
+	in.UseMetric(MetricLazy, 64)
+	p := Approximate(in, Options{})
 
 	if in.Metric().Kind() != metric.KindLazy {
 		t.Fatalf("solve ran on %v backend, want lazy", in.Metric().Kind())

@@ -219,10 +219,16 @@ func solveAtOneProc(in *Instance, opt Options) Placement {
 // GOMAXPROCS goroutines. The ambient schedule and explicit widths must
 // place byte-identically to the serial solve at GOMAXPROCS 1, on both
 // large-instance backends: the rule may only change the schedule, never
-// the placement.
+// the placement. Under the race detector its 50k solves take most of go
+// test's default 10-minute timeout, so it runs only without -race; the
+// race lane covers the sharded scans through
+// TestConcurrentShardedSolvesRace and TestIntraSolveParallelMatchesSerial.
 func TestParallel50kByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50k-node solves in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("50k-node solves under the race detector")
 	}
 	for _, backend := range []MetricBackend{MetricLazy, MetricTree} {
 		in := large50k(t, backend)

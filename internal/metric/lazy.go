@@ -10,7 +10,7 @@ import (
 // DefaultLazyRows is the default row-cache budget of the lazy oracle. At
 // this budget a 1M-node network costs ~2 GB of cached rows in the worst
 // case and a 50k-node network ~100 MB; tune per deployment via the
-// constructor (or core.Options.MetricRows).
+// constructor (or core.Instance.UseMetric).
 const DefaultLazyRows = 256
 
 // Lazy serves the shortest-path metric of a network by running per-source
@@ -36,7 +36,7 @@ const lazyShards = 16
 // lazyShard is one LRU shard: a map from node id to entry plus an intrusive
 // doubly-linked recency list (head = most recent). The list makes every
 // touch O(1); with the historical order-slice scan a cache-hit Row cost
-// grew linearly with the shard's share of MetricRows.
+// grew linearly with the shard's share of the row budget.
 type lazyShard struct {
 	mu   sync.Mutex
 	rows map[int]*lazyEntry

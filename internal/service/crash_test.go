@@ -120,15 +120,21 @@ func sessionFingerprint(t *testing.T, srv *Server, c *Client, sid string) []byte
 	return fp
 }
 
-// pinBackend points a resident instance's distance oracle at a named
-// backend, as a solve with the same metric option would.
-func pinBackend(t *testing.T, srv *Server, id, backend string) {
+// backendCases are the oracle backends the byte-identity properties run
+// across, named for their subtests.
+var backendCases = []struct {
+	name    string
+	backend core.MetricBackend
+}{{"dense", core.MetricDense}, {"lazy", core.MetricLazy}, {"tree", core.MetricTree}}
+
+// pinBackend installs a backend as a resident instance's distance oracle.
+func pinBackend(t *testing.T, srv *Server, id string, b core.MetricBackend) {
 	t.Helper()
 	in, _, ok := srv.engine.registry.Get(id)
 	if !ok {
 		t.Fatalf("instance %s not resident", id)
 	}
-	in.UseMetric(metricBackends[backend], 64)
+	in.UseMetric(b, 64)
 }
 
 // TestCrashRecoveryByteIdenticalAcrossBackends is the persistence
@@ -140,12 +146,12 @@ func pinBackend(t *testing.T, srv *Server, id, backend string) {
 // so the cross-backend cases also re-assert the repo's oracle
 // equivalence invariant along the way.
 func TestCrashRecoveryByteIdenticalAcrossBackends(t *testing.T) {
-	for _, backend := range []string{"dense", "lazy", "tree"} {
-		t.Run(backend, func(t *testing.T) {
+	for _, bc := range backendCases {
+		t.Run(bc.name, func(t *testing.T) {
 			ctx := context.Background()
 			in := crashInstance(t)
 			trace := driftTrace(24, 126)
-			scfg := SessionConfig{Epoch: 16, Window: 3, Options: SolveOptions{Metric: backend}}
+			scfg := SessionConfig{Epoch: 16, Window: 3}
 
 			// Uninterrupted reference on a plain in-memory server.
 			refSrv, refC := newTestServer(t, Config{})
@@ -153,7 +159,7 @@ func TestCrashRecoveryByteIdenticalAcrossBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pinBackend(t, refSrv, refUp.ID, backend)
+			pinBackend(t, refSrv, refUp.ID, bc.backend)
 			refSess, err := refC.OpenSession(ctx, refUp.ID, scfg)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +185,7 @@ func TestCrashRecoveryByteIdenticalAcrossBackends(t *testing.T) {
 			if up.ID != refUp.ID {
 				t.Fatalf("content-addressed ids diverge: %s vs %s", up.ID, refUp.ID)
 			}
-			pinBackend(t, srv, up.ID, backend)
+			pinBackend(t, srv, up.ID, bc.backend)
 			sess, err := c.OpenSession(ctx, up.ID, scfg)
 			if err != nil {
 				t.Fatal(err)

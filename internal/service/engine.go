@@ -13,7 +13,6 @@ import (
 	"netplace/internal/core"
 	"netplace/internal/encode"
 	"netplace/internal/facility"
-	"netplace/internal/metric"
 	"netplace/internal/netsim"
 	"netplace/internal/solver"
 	"netplace/internal/tree"
@@ -39,14 +38,6 @@ type SolveOptions struct {
 	// SkipPhase2 / SkipPhase3 disable the augmentation and thinning phases.
 	SkipPhase2 bool `json:"skip_phase2,omitempty"`
 	SkipPhase3 bool `json:"skip_phase3,omitempty"`
-	// Metric names the distance-oracle backend: "auto" (default), "dense",
-	// "lazy", "tree". Overriding it rebuilds the instance's shared oracle,
-	// so mixing different overrides in one what-if batch thrashes the
-	// oracle; prefer "auto" for batches.
-	Metric string `json:"metric,omitempty"`
-	// MetricRows bounds the lazy backend's row cache (see
-	// core.Options.MetricRows).
-	MetricRows int `json:"metric_rows,omitempty"`
 }
 
 // flSolvers maps wire names to facility location solvers.
@@ -55,15 +46,6 @@ var flSolvers = map[string]facility.Solver{
 	"jain-vazirani": facility.JainVazirani,
 	"mettu-plaxton": facility.MettuPlaxton,
 	"greedy":        facility.Greedy,
-}
-
-// metricBackends maps wire names to oracle backends.
-var metricBackends = map[string]core.MetricBackend{
-	"":      core.MetricAuto,
-	"auto":  core.MetricAuto,
-	"dense": core.MetricDense,
-	"lazy":  core.MetricLazy,
-	"tree":  core.MetricTree,
 }
 
 // algos is the set of accepted Algo values ("" means "approx").
@@ -86,12 +68,6 @@ func (o SolveOptions) normalize() (SolveOptions, error) {
 			return o, fmt.Errorf("service: unknown facility location solver %q", o.FL)
 		}
 	}
-	if _, ok := metricBackends[o.Metric]; !ok {
-		return o, fmt.Errorf("service: unknown metric backend %q", o.Metric)
-	}
-	if o.Metric == "" {
-		o.Metric = "auto"
-	}
 	if o.Phase2Factor < 0 || o.Phase3Factor < 0 {
 		return o, fmt.Errorf("service: negative phase factor")
 	}
@@ -100,9 +76,6 @@ func (o SolveOptions) normalize() (SolveOptions, error) {
 	}
 	if o.Phase3Factor == 0 {
 		o.Phase3Factor = 4
-	}
-	if o.MetricRows < 0 {
-		return o, fmt.Errorf("service: negative metric_rows")
 	}
 	return o, nil
 }
@@ -123,30 +96,15 @@ func (o SolveOptions) key() string {
 	b.WriteString(strconv.FormatBool(o.SkipPhase2))
 	b.WriteString("|s3=")
 	b.WriteString(strconv.FormatBool(o.SkipPhase3))
-	b.WriteString("|metric=")
-	b.WriteString(o.Metric)
-	b.WriteString("|rows=")
-	b.WriteString(strconv.Itoa(o.MetricRows))
 	return b.String()
 }
 
-// validateFor rejects normalised options that are invalid or unsafe for a
-// specific resident instance — checks that must run before the solver so a
-// bad request can neither panic in a handler nor blow the memory budget
-// the registry charged for the instance.
+// validateFor rejects normalised options that a specific resident
+// instance cannot run — checks that must come before the solver, so a bad
+// request neither fails inside a handler nor starts an intractable
+// enumeration.
 func (o SolveOptions) validateFor(in *core.Instance) error {
 	n := in.N()
-	if o.Metric == "tree" && !in.G.IsTree() {
-		return fmt.Errorf("service: metric=tree on a non-tree network (%d nodes, %d edges)", n, in.G.M())
-	}
-	if o.Metric == "dense" && n > core.DenseMetricMaxNodes {
-		return fmt.Errorf("service: metric=dense would materialise a %d² distance matrix on a resident instance; limited to %d nodes", n, core.DenseMetricMaxNodes)
-	}
-	if o.MetricRows > metric.DefaultLazyRows {
-		// The registry budgeted the instance at the default row budget; a
-		// request may shrink the cache but not grow it past the estimate.
-		return fmt.Errorf("service: metric_rows %d exceeds the service cap of %d", o.MetricRows, metric.DefaultLazyRows)
-	}
 	if o.Algo == "optimal" && n > 18 {
 		return fmt.Errorf("service: algo=optimal enumerates all copy sets; limited to 18 nodes (got %d)", n)
 	}
@@ -168,8 +126,6 @@ func (o SolveOptions) coreOptions(workers int) core.Options {
 		SkipPhase2:   o.SkipPhase2,
 		SkipPhase3:   o.SkipPhase3,
 		Workers:      workers,
-		Metric:       metricBackends[o.Metric],
-		MetricRows:   o.MetricRows,
 	}
 }
 
@@ -431,14 +387,8 @@ func (e *Engine) run(ctx context.Context, id string, in *core.Instance, opts Sol
 // shared kernel of the resident-instance path (run) and the what-if
 // fallback path (scenarioFull), both of which hold a worker slot; an
 // approx run widens itself with lent slots (see lend). The float64
-// result is the Section 3 tree cost, non-zero only for algo=tree. It
-// applies the metric override for every algorithm (validateFor has
-// already vetted it): the baselines and the exact solvers read distances
-// through in.Metric() just like approx does.
+// result is the Section 3 tree cost, non-zero only for algo=tree.
 func (e *Engine) solveInstance(ctx context.Context, in *core.Instance, opts SolveOptions) (core.Placement, float64, error) {
-	if b := metricBackends[opts.Metric]; b != core.MetricAuto {
-		in.UseMetric(b, opts.MetricRows)
-	}
 	switch opts.Algo {
 	case "tree":
 		return solveTree(in)

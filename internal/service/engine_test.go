@@ -9,7 +9,6 @@ import (
 
 	"netplace/internal/core"
 	"netplace/internal/graph"
-	"netplace/internal/metric"
 )
 
 // cycleInstance builds a small non-tree network (a cycle).
@@ -34,33 +33,20 @@ func cycleInstance(t *testing.T, n int) *core.Instance {
 }
 
 // TestValidateForRejectsUnsafeOptions covers the per-instance request
-// checks: tree options on non-trees, dense materialisation and oversized
-// row budgets on large resident instances — each must fail as a client
-// error before reaching the solver (no panic, no allocation).
+// checks: the tree DP on a non-tree and exact enumeration on an instance
+// past its node limit — each must fail as a client error before reaching
+// the solver.
 func TestValidateForRejectsUnsafeOptions(t *testing.T) {
 	srv := New(Config{})
 	e := srv.Engine()
 	ctx := context.Background()
 
 	cyc, _ := e.Registry().Add("cycle", cycleInstance(t, 8))
-	for _, opts := range []SolveOptions{
-		{Metric: "tree"},
-		{Algo: "tree"},
-	} {
-		if _, err := e.Solve(ctx, cyc.ID, opts); err == nil {
-			t.Fatalf("%+v accepted on a non-tree network", opts)
-		}
+	if _, err := e.Solve(ctx, cyc.ID, SolveOptions{Algo: "tree"}); err == nil {
+		t.Fatal("algo=tree accepted on a non-tree network")
 	}
 
-	big, _ := e.Registry().Add("big", pathInstance(t, core.DenseMetricMaxNodes+1, 7))
-	if _, err := e.Solve(ctx, big.ID, SolveOptions{Metric: "dense"}); err == nil ||
-		!strings.Contains(err.Error(), "dense") {
-		t.Fatalf("dense materialisation on a %d-node resident instance accepted (err=%v)",
-			core.DenseMetricMaxNodes+1, err)
-	}
-	if _, err := e.Solve(ctx, big.ID, SolveOptions{MetricRows: metric.DefaultLazyRows + 1}); err == nil {
-		t.Fatal("metric_rows beyond the budgeted cap accepted")
-	}
+	big, _ := e.Registry().Add("big", pathInstance(t, 19, 7)) // one node past optimal's limit
 	if _, err := e.Solve(ctx, big.ID, SolveOptions{Algo: "optimal"}); err == nil {
 		t.Fatal("optimal enumeration on a large instance accepted")
 	}

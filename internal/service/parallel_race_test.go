@@ -32,13 +32,14 @@ func clusteredServiceInstance(t *testing.T, objects int) *core.Instance {
 }
 
 // TestConcurrentSessionResolvesParallelRace hammers several streaming
-// sessions at once, so session epoch re-solves (concurrent lazy-oracle
-// access) overlap with each other and with concurrent what-if scenarios
-// on the default schedule, each run borrowing whatever worker slots it
-// finds free. Run with -race; every session must end on the same
-// placement, and every slot must come back. The core package's
-// TestConcurrentShardedSolvesRace covers the sharded scans at a forced
-// width.
+// sessions at once, so session epoch re-solves overlap with each other
+// and with concurrent what-if scenarios on the default schedule, all on
+// one resident 16-row lazy oracle, each run borrowing whatever worker
+// slots it finds free. Run with -race; every session must end on the
+// same placement, every slot must come back, and the resident oracle
+// must still be the one pinned before the sessions opened. The core
+// package's TestConcurrentShardedSolvesRace covers the sharded scans at
+// a forced width.
 func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 	srv, c := newTestServer(t, Config{Workers: 4})
 	ctx := context.Background()
@@ -47,6 +48,14 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	resident, _, ok := srv.engine.registry.Get(up.ID)
+	if !ok {
+		t.Fatal("instance missing")
+	}
+	// A row budget far below the 100 nodes keeps the lazy cache evicting
+	// while the runs share it.
+	resident.UseMetric(core.MetricLazy, 16)
+	pinned := resident.Metric()
 
 	const sessions = 4
 	const epochs = 3
@@ -57,7 +66,7 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 		// hammer in a test).
 		info, err := c.OpenSession(ctx, up.ID, SessionConfig{
 			Epoch: 32, Window: 2,
-			Options: SolveOptions{FL: "mettu-plaxton", Metric: "lazy", MetricRows: 16},
+			Options: SolveOptions{FL: "mettu-plaxton"},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +107,7 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 				reads[v] = int64((v + k) % 5)
 			}
 			sc := Scenario{Objects: []ObjectPatch{{Name: in.Objects[0].Name, Reads: reads}}}
-			opts := SolveOptions{FL: "mettu-plaxton", Metric: "lazy", MetricRows: 16}
+			opts := SolveOptions{FL: "mettu-plaxton"}
 			for i := 0; i < 3; i++ {
 				if _, err := srv.Engine().Scenario(ctx, up.ID, opts, sc); err != nil {
 					t.Error(err)
@@ -111,6 +120,9 @@ func TestConcurrentSessionResolvesParallelRace(t *testing.T) {
 	if st := srv.Stats(); len(srv.engine.sem) != 0 || st.InFlightSolves != 0 || st.QueueDepth != 0 {
 		t.Fatalf("after the hammer: %d slots held, in_flight_solves %d, queue_depth %d; want all 0",
 			len(srv.engine.sem), st.InFlightSolves, st.QueueDepth)
+	}
+	if resident.Metric() != pinned {
+		t.Fatal("the hammer replaced the resident oracle")
 	}
 
 	var want map[string][]int

@@ -182,10 +182,10 @@ func TestPersistenceDisabledByDefault(t *testing.T) {
 	}
 }
 
-// Servers that still took a "parallel" solve option wrote it into the
-// session meta. Recovery reads the meta with json.Unmarshal, which
-// ignores the key, so such a session recovers with the same placement
-// and stats.
+// Servers that still took the "parallel", "metric" and "metric_rows"
+// solve options wrote them into the session meta. Recovery reads the meta
+// with json.Unmarshal, which ignores the keys, so such a session recovers
+// with the same placement and stats.
 func TestSessionRecoveryIgnoresParallelInMeta(t *testing.T) {
 	ctx := context.Background()
 	h := NewCrashHarness(t.TempDir(), Config{})
@@ -207,7 +207,7 @@ func TestSessionRecoveryIgnoresParallelInMeta(t *testing.T) {
 	want := sessionFingerprint(t, srv, c, sid)
 	h.Kill()
 
-	meta := fmt.Sprintf(`{"session_id":%q,"instance_id":%q,"config":{"epoch":16,"window":3,"options":{"parallel":4}}}`, sid, up.ID)
+	meta := fmt.Sprintf(`{"session_id":%q,"instance_id":%q,"config":{"epoch":16,"window":3,"options":{"parallel":4,"metric":"lazy","metric_rows":4}}}`, sid, up.ID)
 	if err := os.WriteFile(filepath.Join(h.Dir(), "sessions", sid+".meta.json"), []byte(meta), 0o644); err != nil {
 		t.Fatal(err)
 	}

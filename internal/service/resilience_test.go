@@ -518,15 +518,15 @@ func TestFaultInjectionByteIdenticalAcrossBackends(t *testing.T) {
 	trace := driftTrace(24, 96)
 	const batch = 4
 
-	for _, backend := range []string{"dense", "lazy", "tree"} {
-		t.Run(backend, func(t *testing.T) {
+	for _, bc := range backendCases {
+		t.Run(bc.name, func(t *testing.T) {
 			// Fault-free control run.
 			ctrlSrv, ctrlC := newTestServer(t, Config{})
 			ctrlUp, err := ctrlC.Upload(ctx, "ctrl", crashInstance(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			pinBackend(t, ctrlSrv, ctrlUp.ID, backend)
+			pinBackend(t, ctrlSrv, ctrlUp.ID, bc.backend)
 			ctrlSess, err := ctrlC.OpenSession(ctx, ctrlUp.ID, SessionConfig{Epoch: 16})
 			if err != nil {
 				t.Fatal(err)
@@ -542,7 +542,7 @@ func TestFaultInjectionByteIdenticalAcrossBackends(t *testing.T) {
 			srv := New(Config{})
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
-			ft := NewFaultTransport(ts.Client().Transport, 0xC0FFEE+int64(len(backend)), FaultConfig{
+			ft := NewFaultTransport(ts.Client().Transport, 0xC0FFEE+int64(len(bc.name)), FaultConfig{
 				ResetProb:     0.15,
 				TruncateProb:  0.20,
 				LatencyProb:   0.10,
@@ -559,7 +559,7 @@ func TestFaultInjectionByteIdenticalAcrossBackends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pinBackend(t, srv, up.ID, backend)
+			pinBackend(t, srv, up.ID, bc.backend)
 			sess, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 16})
 			if err != nil {
 				t.Fatal(err)
@@ -590,7 +590,7 @@ func TestFaultInjectionByteIdenticalAcrossBackends(t *testing.T) {
 			if st.DedupedBatches == 0 || st.RetriesObserved == 0 {
 				t.Fatalf("dedupedBatches=%d retriesObserved=%d with %v faults", st.DedupedBatches, st.RetriesObserved, counts)
 			}
-			t.Logf("backend %s: faults=%v dedupedResponses=%d", backend, counts, deduped)
+			t.Logf("backend %s: faults=%v dedupedResponses=%d", bc.name, counts, deduped)
 		})
 	}
 }

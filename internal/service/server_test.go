@@ -202,18 +202,18 @@ func TestEngineBatchWhatIf(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := []SolveOptions{
-		{},                      // paper defaults
-		{SkipPhase2: true},      // ablation
-		{SkipPhase3: true},      // ablation
-		{Algo: "single"},        // baseline
-		{Algo: "full"},          // baseline
-		{Algo: "optimal"},       // exact (10 nodes)
-		{Algo: "bogus"},         // must fail per-variant, not whole batch
-		{},                      // duplicate of variant 0: cache or flight
-		{Algo: "tree"},          // path network is a tree
-		{FL: "mettu-plaxton"},   // explicit phase-1 solver
-		{Phase2Factor: 7},       // custom factor
-		{Metric: "nonexistent"}, // must fail per-variant
+		{},                    // paper defaults
+		{SkipPhase2: true},    // ablation
+		{SkipPhase3: true},    // ablation
+		{Algo: "single"},      // baseline
+		{Algo: "full"},        // baseline
+		{Algo: "optimal"},     // exact (10 nodes)
+		{Algo: "bogus"},       // must fail per-variant, not whole batch
+		{},                    // duplicate of variant 0: cache or flight
+		{Algo: "tree"},        // path network is a tree
+		{FL: "mettu-plaxton"}, // explicit phase-1 solver
+		{Phase2Factor: 7},     // custom factor
+		{FL: "nonexistent"},   // must fail per-variant
 	}
 	out, err := c.WhatIf(ctx, up.ID, variants)
 	if err != nil {
@@ -322,55 +322,104 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestInstanceSharedOracle asserts that repeated differing solves of one
-// instance reuse the same metric oracle rather than rebuilding it.
+// TestInstanceSharedOracle asserts that an instance keeps one distance
+// oracle across every kind of request: solves with each algorithm the
+// path allows, an option batch, full and incremental what-ifs, and a
+// session's open, epoch close and flush all read it, and none replaces it.
 func TestInstanceSharedOracle(t *testing.T) {
 	srv, c := newTestServer(t, Config{})
 	ctx := context.Background()
-	in := pathInstance(t, 10, 3)
-	up, err := c.Upload(ctx, "oracle", in)
+	up, err := c.Upload(ctx, "oracle", pathInstance(t, 10, 3))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Solve(ctx, up.ID, SolveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	reg, _, ok := srv.Engine().Registry().Get(up.ID)
 	if !ok {
 		t.Fatal("instance missing")
 	}
-	before := reg.Metric()
-	if _, err := c.Solve(ctx, up.ID, SolveOptions{SkipPhase3: true}); err != nil {
+	oracle := reg.Metric()
+	same := func(what string) {
+		t.Helper()
+		if reg.Metric() != oracle {
+			t.Fatalf("%s replaced the instance's oracle", what)
+		}
+	}
+	for _, algo := range []string{"approx", "tree", "optimal", "single", "full", "greedy", "fl-only"} {
+		if _, err := c.Solve(ctx, up.ID, SolveOptions{Algo: algo}); err != nil {
+			t.Fatalf("algo=%s: %v", algo, err)
+		}
+		same("algo=" + algo)
+	}
+	outs, err := c.WhatIf(ctx, up.ID, []SolveOptions{{SkipPhase3: true}, {FL: "mettu-plaxton"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Metric() != before {
-		t.Fatal("second solve rebuilt the shared oracle")
+	for i, o := range outs {
+		if o.Error != "" {
+			t.Fatalf("variant %d: %s", i, o.Error)
+		}
 	}
+	same("an option batch")
+	storage := make([]float64, 10)
+	for v := range storage {
+		storage[v] = 3
+	}
+	reads := []int64{0, 0, 0, 0, 0, 0, 0, 6, 0, 0}
+	for _, sc := range []Scenario{{Label: "full", Storage: storage}, {Label: "incremental", Objects: []ObjectPatch{{Name: "obj", Reads: reads}}}} {
+		outs, err := c.WhatIfScenarios(ctx, up.ID, SolveOptions{}, []Scenario{sc})
+		if err != nil || outs[0].Error != "" {
+			t.Fatalf("%s what-if: %v %+v", sc.Label, err, outs)
+		}
+		if got := outs[0].Result.Incremental; got != (sc.Storage == nil) {
+			t.Fatalf("%s what-if ran incremental=%v", sc.Label, got)
+		}
+		same("a " + sc.Label + " what-if")
+	}
+	sess, err := c.OpenSession(ctx, up.ID, SessionConfig{Epoch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("a session open")
+	evs := []SessionEvent{{Obj: "obj", Node: 8}, {Obj: "obj", Node: 9}, {Obj: "obj", Node: 8}, {Obj: "obj", Node: 0, Write: true}, {Obj: "obj", Node: 9}}
+	resp, err := c.SessionEvents(ctx, sess.SessionID, evs)
+	if err != nil || len(resp.Epochs) != 1 {
+		t.Fatalf("events: %+v %v, want one epoch close", resp, err)
+	}
+	same("an epoch close")
+	if resp, err := c.SessionFlush(ctx, sess.SessionID); err != nil || len(resp.Epochs) != 1 {
+		t.Fatalf("flush: %+v %v, want one epoch close", resp, err)
+	}
+	same("a flush")
 }
 
-// The parallel solve option is gone: a solve, what-if or session-open
-// body that still carries it is refused by the strict body decoder with
-// a 400 naming the field, and nothing runs.
+// The parallel, metric and metric_rows solve options are gone: a solve,
+// what-if or session-open body that still carries one is refused by the
+// strict body decoder with a 400 naming the field, and nothing runs.
 func TestParallelOptionRejected(t *testing.T) {
 	srv, c := newTestServer(t, Config{})
 	up, err := c.Upload(context.Background(), "parallel", pathInstance(t, 10, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ path, body string }{
-		{"/instances/" + up.ID + "/solve", `{"options":{"parallel":2}}`},
-		{"/instances/" + up.ID + "/whatif", `{"variants":[{"parallel":-1}]}`},
-		{"/instances/" + up.ID + "/whatif", `{"options":{"parallel":1},"scenarios":[{"label":"x"}]}`},
-		{"/v1/sessions", `{"instance_id":"` + up.ID + `","config":{"options":{"parallel":4}}}`},
+	for _, field := range []struct{ name, value string }{
+		{"parallel", "2"}, {"metric", `"lazy"`}, {"metric_rows", "4"},
 	} {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
-		var e errorJSON
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-			t.Fatalf("%s: undecodable error body %q: %v", tc.path, rec.Body.String(), err)
-		}
-		if rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "parallel"`) {
-			t.Fatalf("%s %s: %d %q, want a 400 naming the parallel field", tc.path, tc.body, rec.Code, e.Error)
+		kv := `"` + field.name + `":` + field.value
+		for _, tc := range []struct{ path, body string }{
+			{"/instances/" + up.ID + "/solve", `{"options":{` + kv + `}}`},
+			{"/instances/" + up.ID + "/whatif", `{"variants":[{` + kv + `}]}`},
+			{"/instances/" + up.ID + "/whatif", `{"options":{` + kv + `},"scenarios":[{"label":"x"}]}`},
+			{"/v1/sessions", `{"instance_id":"` + up.ID + `","config":{"options":{` + kv + `}}}`},
+		} {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+			var e errorJSON
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%s: undecodable error body %q: %v", tc.path, rec.Body.String(), err)
+			}
+			if rec.Code != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "`+field.name+`"`) {
+				t.Fatalf("%s %s: %d %q, want a 400 naming the %s field", tc.path, tc.body, rec.Code, e.Error, field.name)
+			}
 		}
 	}
 	if st := srv.Stats(); st.SolvesTotal != 0 || st.WhatIfScenarios != 0 || st.SessionsOpened != 0 {

@@ -80,8 +80,7 @@ type Config struct {
 	// closes), and each object's solve shards its radius scans by
 	// instance size alone (serial below metric.AutoParallelMinNodes
 	// nodes). Reports, placements and state are byte-identical at every
-	// width. Metric and MetricRows are not applied: closes solve on the
-	// instance's own oracle.
+	// width.
 	Solve core.Options
 	// SolveGate, when non-nil, wraps each epoch close's re-solve and
 	// re-placement work, e.g. to time it; it must call solve exactly

@@ -65,14 +65,14 @@ type (
 var NewInstance = core.NewInstance
 
 // MetricBackend selects the distance-oracle backend behind an instance's
-// shortest-path metric (Options.Metric). The default, MetricAuto, picks a
-// dense matrix for small networks, the O(1) LCA oracle for large tree
-// networks, and a lazily computed row cache for everything bigger — so
-// placements on 50k+-node sparse networks never materialize the Θ(n²)
-// all-pairs matrix.
+// shortest-path metric; Instance.UseMetric installs one before solving.
+// The default, MetricAuto, picks on first use: a dense matrix for small
+// networks, the O(1) LCA oracle for large tree networks, and a lazily
+// computed row cache for everything bigger — so placements on 50k+-node
+// sparse networks never materialize the Θ(n²) all-pairs matrix.
 type MetricBackend = core.MetricBackend
 
-// Distance-oracle backends for Options.Metric.
+// Distance-oracle backends for Instance.UseMetric.
 const (
 	MetricAuto  = core.MetricAuto
 	MetricDense = core.MetricDense
