@@ -16,7 +16,6 @@ import (
 	"netplace/internal/facility"
 	"netplace/internal/gen"
 	"netplace/internal/metric"
-	"netplace/internal/stream"
 	"netplace/internal/tree"
 	"netplace/internal/workload"
 )
@@ -240,81 +239,29 @@ func BenchmarkSolveInterconnect46kLazy(b *testing.B) {
 // Resident-instance kernels: the steady-state hot path of the placement
 // service — repeated solves, sweeps and cost evaluations over one warm
 // instance whose lazy oracle has already been built. These are the
-// BENCH_PR3.json trajectory benchmarks; cmd/benchreport runs the same
-// kernels programmatically over the same internal/benchkit fixture.
-
-func residentInstance(objects int) *core.Instance {
-	return benchkit.ResidentInstance(objects)
-}
+// BENCH_PR3.json trajectory benchmarks; their bodies live in
+// internal/benchkit, shared with cmd/benchreport's kernels of the same
+// workload.
 
 // BenchmarkResidentSolve2500Lazy measures a full re-solve of a warm
-// resident instance: the oracle is already built, so the numbers isolate
-// the solve pipeline itself (facility location, radii, phases, scratch).
+// resident instance (cmd/benchreport's resident_solve_2500_lazy).
 func BenchmarkResidentSolve2500Lazy(b *testing.B) {
-	in := residentInstance(8)
-	core.Approximate(in, core.Options{}) // warm oracle + pools
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := core.Approximate(in, core.Options{})
-		benchSink += float64(len(p.Copies[0]))
-	}
+	benchkit.Solve(benchkit.ResidentInstance, 8, core.Options{})(b)
 }
 
-// BenchmarkResidentObjectCost2500Lazy measures pricing one placement on the
-// warm instance — the kernel behind cost evaluation and what-if splicing.
-func BenchmarkResidentObjectCost2500Lazy(b *testing.B) {
-	in := residentInstance(1)
-	p := core.Approximate(in, core.Options{})
-	obj := &in.Objects[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += in.ObjectCost(obj, p.Copies[0]).Total()
-	}
-}
+// BenchmarkResidentObjectCost2500Lazy measures pricing one placement on
+// the warm instance (resident_objectcost_2500_lazy).
+func BenchmarkResidentObjectCost2500Lazy(b *testing.B) { benchkit.ObjectCost(b) }
 
-// BenchmarkResidentNearestOf2500Lazy measures the multi-source sweep that
-// underlies cost evaluation and the phase machinery — the allocation-free
-// Into form with a reused buffer, matching cmd/benchreport's kernel of
-// the same name.
-func BenchmarkResidentNearestOf2500Lazy(b *testing.B) {
-	in := residentInstance(1)
-	p := core.Approximate(in, core.Options{})
-	o := in.Metric()
-	copies := p.Copies[0]
-	dst := make([]float64, in.N())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += metric.NearestOfInto(o, copies, dst)[0]
-	}
-}
+// BenchmarkResidentNearestOf2500Lazy measures the multi-source sweep
+// that underlies cost evaluation and the phase machinery
+// (resident_nearestof_2500_lazy).
+func BenchmarkResidentNearestOf2500Lazy(b *testing.B) { benchkit.NearestOf(b) }
 
-// BenchmarkStreamEpoch2500Lazy measures one full streaming epoch (512
-// events of exact accounting plus the estimate roll, incremental
-// re-solve and hysteresis at the close) on the warm resident instance —
-// the same workload as cmd/benchreport's stream_epoch_2500 kernel.
+// BenchmarkStreamEpoch2500Lazy measures one full streaming epoch on the
+// warm resident instance (stream_epoch_2500).
 func BenchmarkStreamEpoch2500Lazy(b *testing.B) {
-	in := residentInstance(8)
-	rng := rand.New(rand.NewSource(7))
-	const epoch = 512
-	seq := workload.Sequence(in.Objects, epoch*64, rng)
-	eng := stream.New(in, stream.Config{Epoch: epoch, Window: 4})
-	feed := func(k int) {
-		for i := 0; i < epoch; i++ {
-			if _, err := eng.Observe(seq[(k*epoch+i)%len(seq)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	feed(0) // warm: first epoch close adopts the initial placement
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feed(i + 1)
-	}
-	benchSink += eng.Stats().Total()
+	benchkit.StreamEpoch(core.Options{}, benchkit.ResidentInstance, 8)(b)
 }
 
 // BenchmarkLazyRowHitByBudget measures a cache-hit Row fetch with the cache

@@ -85,12 +85,6 @@ type reportJSON struct {
 	Pre        map[string]metricJSON `json:"pre,omitempty"`
 }
 
-// residentInstance is the shared 2500-node clustered-demand fixture —
-// internal/benchkit guarantees bench_test.go measures the same workload.
-func residentInstance(objects int) *core.Instance {
-	return benchkit.ResidentInstance(objects)
-}
-
 var sink float64
 
 // kernel is one measured benchmark: a stable name, its size tier tag (the
@@ -106,40 +100,12 @@ type kernel struct {
 // their oracle installed (internal/benchkit: lazy, 64 rows).
 func kernels() []kernel {
 	oneObject := core.Options{Workers: 1}
-	benchSolve := func(mk func(int) *core.Instance, objects int, opts core.Options) func(b *testing.B) {
-		return func(b *testing.B) {
-			in := mk(objects)
-			core.Approximate(in, opts) // warm oracle and pools
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := core.Approximate(in, opts)
-				sink += float64(len(p.Copies[0]))
-			}
-		}
-	}
 	ks := []kernel{
-		{"resident_solve_2500_lazy", "2500", benchSolve(residentInstance, 8, core.Options{})},
-		{"resident_objectcost_2500_lazy", "2500", func(b *testing.B) {
-			in := residentInstance(1)
-			p := core.Approximate(in, core.Options{})
-			obj := &in.Objects[0]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += in.ObjectCost(obj, p.Copies[0]).Total()
-			}
-		}},
-		{"resident_nearestof_2500_lazy", "2500", func(b *testing.B) {
-			in := residentInstance(1)
-			p := core.Approximate(in, core.Options{})
-			o := in.Metric()
-			dst := make([]float64, in.N())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink += metric.NearestOfInto(o, p.Copies[0], dst)[0]
-			}
-		}},
+		{"resident_solve_2500_lazy", "2500", benchkit.Solve(benchkit.ResidentInstance, 8, core.Options{})},
+		{"resident_objectcost_2500_lazy", "2500", benchkit.ObjectCost},
+		{"resident_nearestof_2500_lazy", "2500", benchkit.NearestOf},
 		{"lazy_row_hit_1024", "2500", func(b *testing.B) {
-			in := residentInstance(1)
+			in := benchkit.ResidentInstance(1)
 			in.UseMetric(core.MetricLazy, 1024)
 			o := in.Metric()
 			for u := 0; u < 1024; u++ {
@@ -155,16 +121,16 @@ func kernels() []kernel {
 			}
 		}},
 		{"whatif_incremental_2500", "2500", func(b *testing.B) {
-			benchWhatIf(b, service.Config{Workers: 2}, residentInstance(8))
+			benchWhatIf(b, service.Config{Workers: 2}, benchkit.ResidentInstance(8))
 		}},
 		{"whatif_full_2500", "2500", func(b *testing.B) {
-			benchWhatIf(b, service.Config{Workers: 2, DisableIncremental: true}, residentInstance(8))
+			benchWhatIf(b, service.Config{Workers: 2, DisableIncremental: true}, benchkit.ResidentInstance(8))
 		}},
 		// One op = one full streaming epoch on a resident 2500-node
 		// instance: 512 Observe calls (accounting against the warm lazy
 		// oracle) plus the epoch close (estimate roll, incremental
 		// re-solve of changed objects, hysteresis).
-		{"stream_epoch_2500", "2500", benchStreamEpoch(core.Options{}, residentInstance, 8)},
+		{"stream_epoch_2500", "2500", benchkit.StreamEpoch(core.Options{}, benchkit.ResidentInstance, 8)},
 	}
 	// The 50k tier: the sparse-grid acceptance topology, where one
 	// object's solve is heavy enough that sharding and batched row
@@ -176,7 +142,7 @@ func kernels() []kernel {
 	// object at a time (Workers: 1), so each pair measures one object's
 	// sharded solve, not object fan-out.
 	for _, k := range []kernel{
-		{"solve_50k_lazy", "50k", benchSolve(benchkit.LargeInstance, 2, oneObject)},
+		{"solve_50k_lazy", "50k", benchkit.Solve(benchkit.LargeInstance, 2, oneObject)},
 		{"whatif_50k", "50k", func(b *testing.B) {
 			benchWhatIf(b, service.Config{Workers: 2}, benchkit.LargeInstance(2))
 		}},
@@ -189,30 +155,6 @@ func kernels() []kernel {
 		ks = append(ks, kernel{k.name, k.size, serial}, kernel{k.name + "_par", k.size, k.fn})
 	}
 	return ks
-}
-
-// benchStreamEpoch builds the streaming-epoch kernel over the given
-// fixture with the given per-object solve options.
-func benchStreamEpoch(opts core.Options, mk func(int) *core.Instance, objects int) func(b *testing.B) {
-	return func(b *testing.B) {
-		in := mk(objects)
-		rng := rand.New(rand.NewSource(7))
-		const epoch = 512
-		seq := workload.Sequence(in.Objects, epoch*64, rng)
-		eng := stream.New(in, stream.Config{Epoch: epoch, Window: 4, Solve: opts})
-		feed := func(k int) {
-			for i := 0; i < epoch; i++ {
-				if _, err := eng.Observe(seq[(k*epoch+i)%len(seq)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		feed(0) // warm: first epoch close adopts the initial placement
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			feed(i + 1)
-		}
-	}
 }
 
 // benchStreamEpochLarge builds the 50k streaming-epoch kernel: one op is

@@ -10,10 +10,9 @@
 //	          [-workers n] [-solve-timeout 5m]
 //	          [-max-queue n] [-data-dir dir] [-no-sync]
 //	          [-fsync-interval 0]
-//	          [-cluster url1,url2,...] [-self url] [-no-forward]
+//	          [-cluster url1,url2,...] [-self url]
 //	          [-peer-timeout 2s] [-probe-interval 1s]
 //	          [-breaker-threshold 3] [-breaker-backoff 250ms]
-//	          [-successor url]
 //	netplaced -drain-peer url -cluster url1,url2,...
 //
 // With -cluster the server is one replica of a sharded netplaced
@@ -22,9 +21,7 @@
 // sharded across the replicas by content hash on a consistent-hash
 // ring; requests for keys another replica owns are transparently
 // forwarded to it (with an X-Netplace-Forwarded hop guard), so any
-// replica is a valid entry point — -no-forward disables the forwarding
-// and leaves each replica answering only what it holds, for sharded
-// clients that route themselves. Because every call for an instance
+// replica is a valid entry point. Because every call for an instance
 // reaches its owner, the owner's result cache and in-flight dedup run
 // each identical solve once cluster-wide; /statz?cluster=1 merges every
 // replica's counters into one view.
@@ -38,15 +35,15 @@
 // breaker's reopen-probe backoff (-breaker-backoff, doubled per failed
 // probe). Each replica also pushes a read-only snapshot of every
 // instance it owns to its ring successor (the next member in sorted
-// -cluster order, overridable with -successor), so stale-tolerant
-// reads — solve, cost, and instance info carrying
-// X-Netplace-Allow-Stale — fail over to the successor while the owner
-// is partitioned; writes surface the typed 503 until it heals.
-// -drain-peer gracefully retires a replica instead: the target drains
-// (final snapshots, WAL flush), every surviving replica drops it from
-// the ring via POST /v1/cluster/drain, and its instances are re-homed
-// across the survivors. See docs/cluster.md ("Failure modes &
-// membership").
+// -cluster order), so stale-tolerant reads — solve, cost, and instance
+// info carrying X-Netplace-Allow-Stale — fail over to the successor
+// while the owner is partitioned; writes surface the typed 503 until it
+// heals. -drain-peer gracefully retires a replica instead: the target
+// drains (final snapshots, WAL flush), every surviving replica drops it
+// from the ring via POST /v1/cluster/drain (a survivor whose successor
+// it was re-pushes its snapshots to its new successor), and its
+// instances are re-homed across the survivors. See docs/cluster.md
+// ("Failure modes & membership").
 //
 // With -data-dir the server is durable: uploaded instances are
 // snapshotted at registration and every streaming session keeps a
@@ -155,12 +152,10 @@ func main() {
 		fsyncIvl  = flag.Duration("fsync-interval", 0, "group-commit window: fsync session WALs at most once per interval (0: every append)")
 		clusterL  = flag.String("cluster", "", "comma-separated base URLs of every cluster replica (empty: standalone); see docs/cluster.md")
 		selfURL   = flag.String("self", "", "this replica's own base URL within -cluster")
-		noForward = flag.Bool("no-forward", false, "do not proxy requests for keys other replicas own (callers must route themselves)")
 		peerTime  = flag.Duration("peer-timeout", 0, "per-peer cap on gossip fetches, health probes, and successor pushes (0: default 2s)")
 		probeIvl  = flag.Duration("probe-interval", 0, "peer /readyz health-probe interval (0: default 1s, <0: passive-only breakers)")
 		bThresh   = flag.Int("breaker-threshold", 0, "consecutive peer failures before its circuit breaker opens (0: default 3)")
 		bBackoff  = flag.Duration("breaker-backoff", 0, "initial breaker reopen-probe backoff, doubled per failed probe (0: default 250ms)")
-		succFlag  = flag.String("successor", "", "replica URL to push instance replica snapshots to (empty: next -cluster member in sorted order)")
 		drainPeer = flag.String("drain-peer", "", "drain this replica URL out of -cluster and re-home its instances, then exit")
 	)
 	flag.Parse()
@@ -180,9 +175,10 @@ func main() {
 		}
 		return
 	}
-	succURL := strings.TrimRight(*succFlag, "/")
-	if succURL == "" && *selfURL != "" {
-		succURL = cluster.SuccessorOf(peers, strings.TrimRight(*selfURL, "/"))
+	self := strings.TrimRight(*selfURL, "/")
+	if len(peers) > 0 && self == "" {
+		fmt.Fprintln(os.Stderr, "netplaced: -cluster needs -self")
+		os.Exit(1)
 	}
 	srv, err := service.Open(service.Config{
 		MemoryBudget:       *mem,
@@ -197,12 +193,12 @@ func main() {
 		MaxSolveQueue:      *maxQueue,
 		FsyncInterval:      *fsyncIvl,
 		Peers:              peers,
-		SelfURL:            *selfURL,
+		SelfURL:            self,
 		PeerTimeout:        *peerTime,
 		ProbeInterval:      *probeIvl,
 		BreakerThreshold:   *bThresh,
 		BreakerBackoff:     *bBackoff,
-		SuccessorURL:       succURL,
+		SuccessorURL:       cluster.SuccessorOf(peers, self),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netplaced:", err)
@@ -214,18 +210,12 @@ func main() {
 		log.Printf("netplaced data dir %s: recovered %d instances, %d sessions", *dataDir, st.Instances, st.RecoveredSessions)
 	}
 	handler := srv.Handler()
-	if len(peers) > 0 && !*noForward {
-		if *selfURL == "" {
-			fmt.Fprintln(os.Stderr, "netplaced: -cluster forwarding needs -self (or pass -no-forward)")
-			os.Exit(1)
-		}
-		p := cluster.NewProxy(*selfURL, peers, handler, nil)
+	if len(peers) > 0 {
+		p := cluster.NewProxy(self, peers, handler, nil)
 		// Share the server's breaker set with the proxy so passive
 		// errors, prober verdicts, and proxy forwards all feed (and
 		// honor) the same per-peer state.
-		if h := srv.PeerHealth(); h != nil {
-			p.UseHealth(h)
-		}
+		p.UseHealth(srv.PeerHealth())
 		handler = p
 	}
 	if *withPprof {

@@ -302,7 +302,7 @@ func TestClusterDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"-cluster", "-self", "-drain-peer", "-no-forward",
+		"-cluster", "-self", "-drain-peer",
 		"consistent-hash", "X-Netplace-Forwarded", "/statz?cluster=1",
 		"byte-identical", "-peers",
 	} {

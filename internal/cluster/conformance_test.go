@@ -160,7 +160,7 @@ func runClusterTrace(t *testing.T, n int, kills bool) []byte {
 		t.Fatal(err)
 	}
 
-	owner := replicaIndex(t, h, sc.Owner(up.ID))
+	owner := replicaIndex(t, h, sc.Router().Owner(up.ID))
 	trace := conformanceTrace(24, 96)
 	const batch = 8
 	var fp clusterFingerprint

@@ -186,14 +186,13 @@ func runPartitionTrace(t *testing.T, n int, faults bool, inA, inB *core.Instance
 	rp := service.DefaultRetryPolicy()
 	rp.MaxAttempts = 6
 	sc.SetRetryPolicy(rp)
-	sc.SetBreakerConfig(service.BreakerConfig{Threshold: 3, Backoff: 100 * time.Millisecond})
 
 	if inA == nil {
 		inA = partitionInstance(t, 0)
-		ownerA := sc.Owner(service.InstanceIDFor(inA))
+		ownerA := sc.Router().Owner(service.InstanceIDFor(inA))
 		for k := 1; k < 32 && inB == nil; k++ {
 			cand := partitionInstance(t, k)
-			if sc.Owner(service.InstanceIDFor(cand)) != ownerA {
+			if sc.Router().Owner(service.InstanceIDFor(cand)) != ownerA {
 				inB = cand
 			}
 		}
@@ -228,7 +227,7 @@ func runPartitionTrace(t *testing.T, n int, faults bool, inA, inB *core.Instance
 	sendBatches(t, sc, sB, trace, 1, 3)
 
 	if faults {
-		ownerURL := sc.Owner(upA.ID)
+		ownerURL := sc.Router().Owner(upA.ID)
 		idx := replicaIndex(t, h, ownerURL)
 		if err := h.SetFault(idx, FaultBlackhole); err != nil {
 			t.Fatal(err)
@@ -238,7 +237,7 @@ func runPartitionTrace(t *testing.T, n int, faults bool, inA, inB *core.Instance
 		if _, err := sc.SessionEventsSeq(ctx, sA.id, 4, trace[24:32]); err == nil {
 			t.Fatal("batch to blackholed owner succeeded")
 		}
-		if got := sc.Health().States()[ownerURL]; got != "open" {
+		if got := sc.Router().Health().States()[ownerURL]; got != "open" {
 			t.Fatalf("client breaker=%q after failed batch, want open", got)
 		}
 		// With the breaker open, a retry-free call fails fast with the
@@ -247,7 +246,7 @@ func runPartitionTrace(t *testing.T, n int, faults bool, inA, inB *core.Instance
 		// timeout); right after any failure the breaker is freshly
 		// open, so a typed sub-timeout answer must show up quickly.
 		direct := service.NewClient(ownerURL, &http.Client{Timeout: time.Second})
-		direct.SetBreaker(sc.Health().For(ownerURL))
+		direct.SetBreaker(sc.Router().Health().For(ownerURL))
 		sawTyped := false
 		for i := 0; i < 5 && !sawTyped; i++ {
 			start := time.Now()
@@ -370,7 +369,7 @@ func TestBreakerFailFast(t *testing.T) {
 	var id string
 	for k := 0; k < 32 && in == nil; k++ {
 		cand := partitionInstance(t, k)
-		if cid := service.InstanceIDFor(cand); sc.Owner(cid) == h.URLs()[1] {
+		if cid := service.InstanceIDFor(cand); sc.Router().Owner(cid) == h.URLs()[1] {
 			in, id = cand, cid
 		}
 	}
@@ -467,7 +466,7 @@ func TestDrainPeerHandoff(t *testing.T) {
 	for k := 0; k < 32 && (len(ids) < 4 || victimOwned == ""); k++ {
 		in := partitionInstance(t, k)
 		cid := service.InstanceIDFor(in)
-		if len(ids) >= 4 && sc.Owner(cid) != victim {
+		if len(ids) >= 4 && sc.Router().Owner(cid) != victim {
 			continue
 		}
 		up, err := sc.Upload(ctx, fmt.Sprintf("drain-%d", k), in)
@@ -475,7 +474,7 @@ func TestDrainPeerHandoff(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, up.ID)
-		if victimOwned == "" && sc.Owner(up.ID) == victim {
+		if victimOwned == "" && sc.Router().Owner(up.ID) == victim {
 			victimOwned = up.ID
 		}
 	}

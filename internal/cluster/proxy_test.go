@@ -194,23 +194,7 @@ func TestProxySessionBreakerFailFast(t *testing.T) {
 // leave the other replica's session untouched.
 func TestProxySessionsStayWithTheirOwner(t *testing.T) {
 	ctx := context.Background()
-	// Bind every listener first: each replica is built with the full
-	// member list.
-	ts := make([]*httptest.Server, 2)
-	urls := make([]string, len(ts))
-	for i := range ts {
-		ts[i] = httptest.NewUnstartedServer(nil)
-		urls[i] = "http://" + ts[i].Listener.Addr().String()
-	}
-	for i, self := range urls {
-		srv := service.New(service.Config{Peers: urls, SelfURL: self, SuccessorURL: SuccessorOf(urls, self)})
-		p := NewProxy(self, urls, srv.Handler(), nil)
-		p.UseHealth(srv.PeerHealth())
-		ts[i].Config.Handler = p
-		ts[i].Start()
-		t.Cleanup(srv.Close)
-		t.Cleanup(ts[i].Close)
-	}
+	urls, _, _ := startReplicas(t, 2)
 
 	ring := NewRingOf(0, urls...)
 	sids := make([]string, len(urls))
@@ -262,21 +246,7 @@ func TestProxySessionsStayWithTheirOwner(t *testing.T) {
 // the second solve.
 func TestRingOwnerSolvesEachInstanceOnce(t *testing.T) {
 	ctx := context.Background()
-	ts := make([]*httptest.Server, 2)
-	urls := make([]string, len(ts))
-	for i := range ts {
-		ts[i] = httptest.NewUnstartedServer(nil)
-		urls[i] = "http://" + ts[i].Listener.Addr().String()
-	}
-	for i, self := range urls {
-		srv := service.New(service.Config{Peers: urls, SelfURL: self, SuccessorURL: SuccessorOf(urls, self)})
-		p := NewProxy(self, urls, srv.Handler(), nil)
-		p.UseHealth(srv.PeerHealth())
-		ts[i].Config.Handler = p
-		ts[i].Start()
-		t.Cleanup(srv.Close)
-		t.Cleanup(ts[i].Close)
-	}
+	urls, _, _ := startReplicas(t, 2)
 
 	in := conformanceInstance(t)
 	var id string

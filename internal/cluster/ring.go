@@ -1,13 +1,16 @@
 // Package cluster shards the netplace service horizontally: a
 // consistent-hash ring assigns every instance (and with it every
-// streaming session) to one netplaced replica, a ShardedClient routes
-// each call to the owning replica, and an optional stateless Proxy lets
-// any replica forward requests it does not own. A session id names its
-// instance (service.SessionInstanceID), so both route a session call
-// exactly like a call on its instance. The multi-process
-// Harness boots real netplaced binaries and is the substrate of the
-// conformance suite proving N replicas are byte-indistinguishable from
-// one. See docs/cluster.md.
+// streaming session) to one netplaced replica, and a Router maps each
+// request to that owner under per-replica circuit breakers and one
+// stale-read failover rule. Both entry points route through a Router:
+// the replica-side Proxy, which lets any replica forward requests it
+// does not own, and the ShardedClient, a service.Client whose transport
+// sends each call straight to its owner. A session id names its
+// instance (service.SessionInstanceID), so a session call routes
+// exactly like a call on its instance. The multi-process Harness boots
+// real netplaced binaries and is the substrate of the conformance suite
+// proving N replicas are byte-indistinguishable from one. See
+// docs/cluster.md.
 package cluster
 
 import (
@@ -15,6 +18,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+
+	"netplace/internal/service"
 )
 
 // DefaultVnodes is the virtual-node count per replica used when a Ring
@@ -165,30 +170,19 @@ func (r *Ring) Len() int { return len(r.members) }
 // Successor returns the member after m in sorted member order (wrapping
 // past the last back to the first), or "" when m is not a member or the
 // ring has fewer than two members. This — not ring-point adjacency — is
-// the cluster's replication successor rule: every layer (replica
-// pushes, proxy failover, ShardedClient degraded reads, the drain tool)
-// computes it identically from the member list alone, so they agree on
-// where an instance's read-only snapshot lives without coordination.
-// See docs/cluster.md "Failure modes & membership".
+// the cluster's replication successor rule (service.SuccessorOf):
+// replica pushes, router failover and the successor move after a drain
+// all compute it from the member list alone, so they agree on where an
+// instance's read-only snapshot lives without coordination. See
+// docs/cluster.md "Failure modes & membership".
 func (r *Ring) Successor(m string) string {
 	return SuccessorOf(r.Members(), m)
 }
 
-// SuccessorOf is Ring.Successor on a plain member list (sorted
-// internally): the next member after self in sorted order, "" when self
-// is absent or fewer than two members remain.
+// SuccessorOf is Ring.Successor on a plain member list:
+// service.SuccessorOf, the one place the rule is written.
 func SuccessorOf(members []string, self string) string {
-	if len(members) < 2 {
-		return ""
-	}
-	sorted := append([]string(nil), members...)
-	sort.Strings(sorted)
-	for i, m := range sorted {
-		if m == self {
-			return sorted[(i+1)%len(sorted)]
-		}
-	}
-	return ""
+	return service.SuccessorOf(members, self)
 }
 
 // Clone returns an independent copy of the ring.

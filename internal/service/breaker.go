@@ -13,9 +13,10 @@ import (
 // layer (see docs/cluster.md "Failure modes & membership"): a per-peer
 // circuit breaker fed by passive error accounting and an active /readyz
 // prober, shared — through PeerHealth — by the server's peer and
-// successor clients, the forwarding proxy, and cluster.ShardedClient, so
-// every routing layer agrees on which replicas are down and fails fast
-// instead of burning its retry budget against a blackholed socket.
+// successor clients and the cluster Router behind the forwarding proxy,
+// so every routing layer of a process agrees on which replicas are down
+// and fails fast instead of burning its retry budget against a
+// blackholed socket.
 
 // ErrReplicaDown reports that a request was refused because the target
 // replica's circuit breaker is open (the replica failed repeatedly or
@@ -271,9 +272,9 @@ func (b *Breaker) RetryAfter() time.Duration {
 // PeerHealth tracks one circuit breaker per peer URL and optionally
 // runs the background /readyz prober that feeds them, so a replica
 // learns a peer died even with no traffic flowing. One PeerHealth is
-// shared per process by the server's peer and successor clients, the
-// forwarding proxy, and any embedded clients — every routing layer sees
-// the same verdict. Safe for concurrent use.
+// shared per process by the server's peer and successor clients and the
+// forwarding proxy's router — every routing layer sees the same
+// verdict. Safe for concurrent use.
 type PeerHealth struct {
 	cfg   BreakerConfig
 	opens atomic.Int64

@@ -289,7 +289,7 @@ func TestWriteErrorReplicaDown(t *testing.T) {
 	// The typed form: 503, the header naming the replica, and a whole-
 	// second Retry-After floor even for sub-second breaker backoffs.
 	rec := httptest.NewRecorder()
-	writeError(rec, &ReplicaDownError{Replica: "http://b:8723", RetryAfter: 80 * time.Millisecond})
+	WriteError(rec, &ReplicaDownError{Replica: "http://b:8723", RetryAfter: 80 * time.Millisecond})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", rec.Code)
 	}
@@ -302,7 +302,7 @@ func TestWriteErrorReplicaDown(t *testing.T) {
 	// The relayed form: an APIError that unwraps to ErrReplicaDown (a
 	// downstream 503 passed through) keeps the replica attribution.
 	rec = httptest.NewRecorder()
-	writeError(rec, &APIError{Status: http.StatusServiceUnavailable,
+	WriteError(rec, &APIError{Status: http.StatusServiceUnavailable,
 		ReplicaDown: "http://c:8723", RetryAfter: 3 * time.Second})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("relayed status %d, want 503", rec.Code)

@@ -435,19 +435,6 @@ func (c *Client) SolveStale(ctx context.Context, id string, opts SolveOptions) (
 	return out, err
 }
 
-// SolveDegraded is the failover form of SolveStale: it additionally
-// carries the forwarded hop guard, so the receiving replica answers
-// strictly locally — from its registry or, for an instance it only
-// replicates, from the read-only snapshot store (Stale=true) — instead
-// of forwarding back toward the down owner. ShardedClient uses it to
-// read through the owner's successor while the owner's breaker is open.
-func (c *Client) SolveDegraded(ctx context.Context, id string, opts SolveOptions) (SolveResult, error) {
-	var out SolveResult
-	hdr := map[string]string{HeaderAllowStale: "1", HeaderForwarded: "degraded"}
-	err := c.doRetry(ctx, http.MethodPost, "/instances/"+id+"/solve", hdr, SolveRequest{Options: opts}, &out, true)
-	return out, err
-}
-
 // WhatIf solves a batch of options variants concurrently server-side.
 func (c *Client) WhatIf(ctx context.Context, id string, variants []SolveOptions) ([]WhatIfOutcome, error) {
 	var out WhatIfResponse

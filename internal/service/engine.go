@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -319,26 +320,36 @@ func (e *Engine) solveOn(ctx context.Context, id, hash string, in *core.Instance
 // singleflight as Solve. The i-th error slot is nil iff the i-th result is
 // valid; the first context cancellation aborts remaining variants.
 func (e *Engine) Batch(ctx context.Context, id string, variants []SolveOptions) ([]SolveResult, []error) {
-	results := make([]SolveResult, len(variants))
-	errs := make([]error, len(variants))
-	done := make(chan int)
-	for i := range variants {
-		go func(i int) {
-			defer func() { done <- i }()
-			results[i], errs[i] = e.Solve(ctx, id, variants[i])
-		}(i)
+	return fanOut(len(variants), func(i int) (SolveResult, error) {
+		return e.Solve(ctx, id, variants[i])
+	})
+}
+
+// fanOut runs solve(i) for every i in [0, n) concurrently and returns
+// the index-aligned results and errors — the one fan-out behind Batch
+// and WhatIf. Admission and the worker pool bound the actual solver
+// runs.
+func fanOut(n int, solve func(i int) (SolveResult, error)) ([]SolveResult, []error) {
+	results := make([]SolveResult, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = solve(i)
+		}()
 	}
-	for range variants {
-		<-done
-	}
+	wg.Wait()
 	return results, errs
 }
 
 // run executes one solver run under admission control, the worker-pool
-// semaphore, and the configured timeout. It is only entered by the
-// singleflight leader, so identical concurrent solves consume one
-// admission slot and load shedding never rejects a solve that would
-// have been deduplicated anyway.
+// semaphore, and the configured timeout, then encodes and prices the
+// placement. Resident solves enter it only as the singleflight leader,
+// so identical concurrent solves consume one admission slot and load
+// shedding never rejects a solve that would have been deduplicated
+// anyway; full what-if scenarios enter it with their patched instance.
 func (e *Engine) run(ctx context.Context, id string, in *core.Instance, opts SolveOptions) (*SolveResult, error) {
 	if err := e.checkDeadline(ctx); err != nil {
 		e.counters.errors.Add(1)
@@ -383,11 +394,10 @@ func (e *Engine) run(ctx context.Context, id string, in *core.Instance, opts Sol
 	return res, nil
 }
 
-// solveInstance dispatches one solver run on an assembled instance — the
-// shared kernel of the resident-instance path (run) and the what-if
-// fallback path (scenarioFull), both of which hold a worker slot; an
-// approx run widens itself with lent slots (see lend). The float64
-// result is the Section 3 tree cost, non-zero only for algo=tree.
+// solveInstance dispatches one solver run on an assembled instance while
+// run holds its worker slot; an approx run widens itself with lent slots
+// (see lend). The float64 result is the Section 3 tree cost, non-zero
+// only for algo=tree.
 func (e *Engine) solveInstance(ctx context.Context, in *core.Instance, opts SolveOptions) (core.Placement, float64, error) {
 	switch opts.Algo {
 	case "tree":

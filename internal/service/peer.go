@@ -2,15 +2,17 @@ package service
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"time"
 )
 
 // This file is the server half of netplaced clustering (see
-// docs/cluster.md): the peer set, its breakers and /readyz prober, and
-// the cluster-wide /statz merge. The routing halves — consistent-hash
-// ring, ShardedClient, stateless proxy — live in internal/cluster, which
-// builds on this package.
+// docs/cluster.md): the peer set, its breakers and /readyz prober, the
+// snapshot successor, and the cluster-wide /statz merge. The routing
+// half — the consistent-hash ring and the Router behind both the proxy
+// and the sharded client — lives in internal/cluster, which builds on
+// this package.
 
 // HeaderForwarded is the proxy hop guard: a replica forwarding a request
 // it does not own sets it, and a replica receiving it serves locally no
@@ -63,6 +65,26 @@ func (ps *peerSet) len() int {
 	return len(ps.urls)
 }
 
+// SuccessorOf is the cluster's replication successor rule: the member
+// after self in sorted order, wrapping past the last to the first; ""
+// when self is not a member or fewer than two members remain. A replica
+// pushes its instance snapshots there, and every router fails a down
+// owner's stale reads over there, so both sides agree without
+// coordination.
+func SuccessorOf(members []string, self string) string {
+	if len(members) < 2 {
+		return ""
+	}
+	sorted := append([]string(nil), members...)
+	sort.Strings(sorted)
+	for i, m := range sorted {
+		if m == self {
+			return sorted[(i+1)%len(sorted)]
+		}
+	}
+	return ""
+}
+
 // setupPeers filters SelfURL out of cfg.Peers and builds one client per
 // remaining peer, every client sharing the server's PeerHealth breakers;
 // it builds the successor push client when SuccessorURL is set and
@@ -85,34 +107,62 @@ func (s *Server) setupPeers() {
 	s.health = NewPeerHealth(bcfg, urls...)
 	ps := &peerSet{urls: urls, timeout: s.cfg.PeerTimeout}
 	for _, u := range urls {
-		pc := NewClient(u, nil)
-		pc.SetBreaker(s.health.For(u))
-		ps.clients = append(ps.clients, pc)
+		ps.clients = append(ps.clients, s.peerClient(u))
 	}
 	s.peers = ps
 	if succ != "" {
-		sc := NewClient(succ, nil)
-		sc.SetBreaker(s.health.For(succ))
-		s.successor = sc
-		s.successorURL = succ
+		s.successor.Store(s.peerClient(succ))
 	}
 	if s.cfg.ProbeInterval > 0 {
 		s.health.StartProber(s.cfg.ProbeInterval, s.cfg.PeerTimeout)
 	}
 }
 
+// peerClient builds a retry-free client for a peer, guarded by the
+// peer's shared breaker.
+func (s *Server) peerClient(url string) *Client {
+	c := NewClient(url, nil)
+	c.SetBreaker(s.health.For(url))
+	return c
+}
+
 // removePeer drops a peer from the peer set and its breaker from the
-// health tracker — the service half of a cluster drain. Reports whether
-// the peer was known.
+// health tracker — the service half of a cluster drain. When the peer
+// was this replica's snapshot successor, the successor moves (see
+// moveSuccessor). Reports whether the peer was known.
 func (s *Server) removePeer(url string) bool {
 	if s.peers == nil {
 		return false
 	}
 	ok := s.peers.remove(url)
-	if s.health != nil {
-		s.health.Remove(url)
+	s.health.Remove(url)
+	if succ := s.successor.Load(); succ != nil && succ.base == url {
+		s.moveSuccessor()
 	}
 	return ok
+}
+
+// moveSuccessor re-derives the snapshot successor from the live members
+// with the ring's rule (SuccessorOf) after a drain removed the old one,
+// and re-pushes every resident instance there: the routers' rings moved
+// the failover target of this replica's keys in the same drain, so a
+// stale read of them must find their snapshots at the new successor.
+// The new successor is stored before the registry is read, so an upload
+// racing the drain is pushed there by one side or the other.
+func (s *Server) moveSuccessor() {
+	next := ""
+	if s.cfg.SelfURL != "" {
+		urls, _ := s.peers.snapshot()
+		next = SuccessorOf(append(urls, s.cfg.SelfURL), s.cfg.SelfURL)
+	}
+	if next == "" {
+		s.successor.Store(nil)
+		return
+	}
+	s.successor.Store(s.peerClient(next))
+	for _, e := range s.engine.registry.residents() {
+		s.pushToSuccessor(e.info.ID, e.info.Name, e.in)
+	}
 }
 
 // clusterStats fans the plain /statz request out to every peer and

@@ -157,6 +157,18 @@ func (r *Registry) List() []InstanceInfo {
 	return out
 }
 
+// residents snapshots every resident instance with its record, without
+// refreshing recency.
+func (r *Registry) residents() []regEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]regEntry, 0, len(r.entries))
+	for _, e := range r.entries {
+		out = append(out, *e)
+	}
+	return out
+}
+
 // Len returns the number of resident instances.
 func (r *Registry) Len() int {
 	r.mu.Lock()

@@ -132,12 +132,12 @@ func (rs *replicaStore) list() []ReplicaInstanceInfo {
 func (s *Server) handleReplicaPush(w http.ResponseWriter, r *http.Request) {
 	var req InstanceExport
 	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	in, err := req.Instance.Instance()
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	id := r.PathValue("id")
@@ -178,24 +178,25 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, InstanceExport{Name: e.name, Instance: encode.InstanceJSONOf(e.in)})
 		return
 	}
-	writeError(w, ErrNotFound)
+	WriteError(w, ErrNotFound)
 }
 
-// pushToSuccessor replicates an accepted upload to the configured
+// pushToSuccessor replicates an accepted upload to the snapshot
 // successor, best-effort and bounded by PeerTimeout: replication must
 // never fail or slow an upload past the timeout, it only widens the
 // window a failover read can cover. Failures are counted and logged;
 // the next re-upload (or the successor's recovery) heals the gap.
 func (s *Server) pushToSuccessor(id, name string, in *core.Instance) {
-	if s.successor == nil {
+	succ := s.successor.Load()
+	if succ == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
 	defer cancel()
-	err := s.successor.PushReplica(ctx, id, InstanceExport{Name: name, Instance: encode.InstanceJSONOf(in)})
+	err := succ.PushReplica(ctx, id, InstanceExport{Name: name, Instance: encode.InstanceJSONOf(in)})
 	if err != nil {
 		s.counters.replicaPushErrors.Add(1)
-		log.Printf("netplaced: replica push %s to %s failed: %v", id, s.successorURL, err)
+		log.Printf("netplaced: replica push %s to %s failed: %v", id, succ.base, err)
 		return
 	}
 	s.counters.replicaPushes.Add(1)
@@ -204,14 +205,15 @@ func (s *Server) pushToSuccessor(id, name string, in *core.Instance) {
 // dropFromSuccessor propagates an instance delete to the successor's
 // snapshot store, best-effort like the push.
 func (s *Server) dropFromSuccessor(id string) {
-	if s.successor == nil {
+	succ := s.successor.Load()
+	if succ == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
 	defer cancel()
-	if err := s.successor.DeleteReplica(ctx, id); err != nil {
+	if err := succ.DeleteReplica(ctx, id); err != nil {
 		s.counters.replicaPushErrors.Add(1)
-		log.Printf("netplaced: replica delete %s at %s failed: %v", id, s.successorURL, err)
+		log.Printf("netplaced: replica delete %s at %s failed: %v", id, succ.base, err)
 	}
 }
 
@@ -234,7 +236,7 @@ func (s *Server) replicaSolve(w http.ResponseWriter, r *http.Request, id string,
 	}
 	res, err := s.engine.SolveSnapshot(r.Context(), id, e.hash, e.in, opts)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return true
 	}
 	s.counters.failoverReads.Add(1)
@@ -256,7 +258,7 @@ func (s *Server) replicaCost(w http.ResponseWriter, r *http.Request, id string, 
 	}
 	b, err := costOn(e.in, pj)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return true
 	}
 	s.counters.failoverReads.Add(1)
@@ -287,16 +289,17 @@ func (s *Server) replicaInfo(w http.ResponseWriter, r *http.Request, id string) 
 // handleClusterDrain is POST /v1/cluster/drain — the administrative
 // membership change behind netplaced -drain-peer. Self form (peer empty
 // or this replica's URL): flush every open session to durable storage
-// (final snapshot + WAL rotation, PR 7's Drain) and start failing
+// (final snapshot + WAL rotation, Server.Drain) and start failing
 // /readyz so load balancers stop routing here. Peer form: drop the
-// named replica from this replica's peer set and breaker tracker; the
+// named replica from this replica's peer set and breaker tracker, and
+// move the snapshot successor if it was the one drained; the
 // forwarding proxy intercepts the same call to shrink its ring view
 // with the ring's minimal-movement guarantee.
 func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	var req ClusterDrainRequest
 	if r.ContentLength != 0 {
 		if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 	}
@@ -307,7 +310,7 @@ func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	n := s.sessions.len()
 	if err := s.Drain(); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ClusterDrainResponse{Status: "draining", Peer: req.Peer, SessionsDrained: n})

@@ -64,7 +64,7 @@ func TestReplicaPushAndDegradedReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cb.SolveDegraded(ctx, up.ID, SolveOptions{})
+	got, err := cb.SolveStale(ctx, up.ID, SolveOptions{})
 	if err != nil {
 		t.Fatalf("degraded solve on the successor: %v", err)
 	}

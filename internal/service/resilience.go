@@ -260,12 +260,12 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	if h := r.Header.Get(HeaderDeadline); h != "" {
 		d, err := time.ParseDuration(h)
 		if err != nil {
-			writeError(w, fmt.Errorf("service: bad %s header %q: %v", HeaderDeadline, h, err))
+			WriteError(w, fmt.Errorf("service: bad %s header %q: %v", HeaderDeadline, h, err))
 			return
 		}
 		if d <= 0 {
 			s.counters.deadlineRejects.Add(1)
-			writeError(w, fmt.Errorf("%w: deadline %q already elapsed on arrival", ErrDeadlineUnmeetable, h))
+			WriteError(w, fmt.Errorf("%w: deadline %q already elapsed on arrival", ErrDeadlineUnmeetable, h))
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)

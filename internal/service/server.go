@@ -63,10 +63,11 @@ type Server struct {
 	store    *store   // nil: in-memory server (New, or Open without DataDir)
 	peers    *peerSet // nil: standalone (no Config.Peers)
 
-	health       *PeerHealth   // nil: standalone; per-peer breakers + prober
-	successor    *Client       // nil: no Config.SuccessorURL; snapshot pushes
-	successorURL string        // resolved Config.SuccessorURL ("" when self)
-	replicas     *replicaStore // read-only snapshots held for the predecessor
+	health *PeerHealth // nil: standalone; per-peer breakers + prober
+	// successor receives the snapshot pushes: Config.SuccessorURL until
+	// a drain removes it (moveSuccessor); nil when there is none.
+	successor atomic.Pointer[Client]
+	replicas  *replicaStore // read-only snapshots held for the predecessor
 
 	ready    atomic.Bool // recovery finished; cleared never (drain uses draining)
 	draining atomic.Bool // BeginDrain called: /readyz answers 503
@@ -273,14 +274,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // headers are out; nothing left to do
 }
 
-// writeError maps an error to a status code and renders it. Shed
+// WriteError maps an error to a status code and renders it as the
+// service's JSON error envelope; the cluster proxy renders its
+// replica-down answers through it too. Shed
 // requests get 429 with a Retry-After hint so well-behaved clients
 // (Client's RetryPolicy honors it) back off instead of hammering.
 // Rejections that provably happened before any state change (admission
 // shed, on-arrival deadline reject) carry HeaderShed so the client may
 // retry them even on non-idempotent calls; a mid-request
 // context.DeadlineExceeded does not — the work may already be applied.
-func writeError(w http.ResponseWriter, err error) {
+func WriteError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {
 	case errors.Is(err, ErrNotFound):
@@ -354,12 +357,12 @@ type UploadResponse struct {
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req UploadRequest
 	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	in, err := req.Instance.Instance()
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	info, created := s.engine.registry.Add(req.Name, in)
@@ -369,7 +372,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		// hash, so the snapshot's payload never changes for a given id.
 		if err := s.store.saveInstance(info.ID, info.Name, in); err != nil {
 			s.counters.persistErrors.Add(1)
-			writeError(w, fmt.Errorf("%w: persisting instance: %v", ErrInternal, err))
+			WriteError(w, fmt.Errorf("%w: persisting instance: %v", ErrInternal, err))
 			return
 		}
 	}
@@ -395,7 +398,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		if replicaFallbackAllowed(r) && s.replicaInfo(w, r, id) {
 			return
 		}
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -404,7 +407,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.engine.registry.Delete(id) {
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	// Propagate to the successor's snapshot store so a deleted instance
@@ -415,7 +418,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 			// Memory state is already correct; the stale snapshot would
 			// resurrect the instance on restart, so surface it loudly.
 			s.counters.persistErrors.Add(1)
-			writeError(w, fmt.Errorf("%w: deleting instance snapshot: %v", ErrInternal, err))
+			WriteError(w, fmt.Errorf("%w: deleting instance snapshot: %v", ErrInternal, err))
 			return
 		}
 	}
@@ -432,7 +435,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
 	if r.ContentLength != 0 {
 		if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 	}
@@ -458,7 +461,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -491,19 +494,19 @@ type WhatIfOutcome struct {
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req WhatIfRequest
 	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if len(req.Variants) == 0 && len(req.Scenarios) == 0 {
-		writeError(w, fmt.Errorf("service: whatif needs at least one variant or scenario"))
+		WriteError(w, fmt.Errorf("service: whatif needs at least one variant or scenario"))
 		return
 	}
 	if len(req.Variants) > 0 && len(req.Scenarios) > 0 {
-		writeError(w, fmt.Errorf("service: whatif takes variants or scenarios, not both"))
+		WriteError(w, fmt.Errorf("service: whatif takes variants or scenarios, not both"))
 		return
 	}
 	if n := len(req.Variants) + len(req.Scenarios); n > s.cfg.MaxBatchVariants {
-		writeError(w, fmt.Errorf("service: whatif batch of %d exceeds the %d-variant limit",
+		WriteError(w, fmt.Errorf("service: whatif batch of %d exceeds the %d-variant limit",
 			n, s.cfg.MaxBatchVariants))
 		return
 	}
@@ -535,7 +538,7 @@ type PlacementRequest struct {
 func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
 	var req PlacementRequest
 	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	b, err := s.engine.Cost(r.PathValue("id"), req.Placement)
@@ -544,7 +547,7 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
 			s.replicaCost(w, r, r.PathValue("id"), req.Placement) {
 			return
 		}
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, b)
@@ -553,12 +556,12 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req PlacementRequest
 	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	st, err := s.engine.Simulate(r.PathValue("id"), req.Placement)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, st)

@@ -116,8 +116,10 @@ type Config struct {
 	// replica's instances for degraded failover reads: every accepted
 	// upload is pushed to it (PUT /v1/replica/instances/{id}, re-verified
 	// by content hash on arrival). Empty disables replication;
-	// cmd/netplaced derives it automatically as the next cluster member
-	// in sorted order. See docs/cluster.md "Failure modes & membership".
+	// cmd/netplaced always passes SuccessorOf(Peers, SelfURL), the
+	// member every router fails this replica's keys over to. A drain
+	// that removes it moves replication to the next live member. See
+	// docs/cluster.md "Failure modes & membership".
 	SuccessorURL string
 	// ProbeInterval is the period of the background /readyz prober that
 	// feeds the per-peer circuit breakers. 0 selects DefaultProbeInterval;

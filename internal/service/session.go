@@ -344,17 +344,17 @@ func (s *Session) info() SessionInfo {
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
 	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	in, info, ok := s.engine.registry.Get(req.InstanceID)
 	if !ok {
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	cfg, err := s.sessionConfig(req.Config, in)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	sess := &Session{
@@ -367,11 +367,11 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	// most one per event, into at most Horizon requests plus one per node
 	// from rounding; the re-solves must pass the uploads' fee bound.
 	if err := in.CheckRequests(float64(sess.engine.Config().Horizon) + float64(in.N())); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if err := s.sessions.add(sess, s.cfg.MaxSessions); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if s.store != nil {
@@ -382,7 +382,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 			s.sessions.delete(sess.ID)
 			s.store.removeSessionFiles(sess.ID)
 			s.counters.persistErrors.Add(1)
-			writeError(w, fmt.Errorf("%w: persisting session: %v", ErrInternal, err))
+			WriteError(w, fmt.Errorf("%w: persisting session: %v", ErrInternal, err))
 			return
 		}
 		sess.log = l
@@ -402,7 +402,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	writeJSON(w, http.StatusOK, sess.info())
@@ -413,7 +413,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok || !s.sessions.delete(sess.ID) {
 		// The second check loses a race against a concurrent DELETE of the
 		// same id; exactly one of the two removes the files below.
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	// Take the session lock so an in-flight ingest finishes before the
@@ -436,20 +436,20 @@ const maxSessionEventBatch = 1 << 20
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	var req SessionEventsRequest
 	if err := decodeBody(w, r, s.cfg.MaxUploadBytes, &req); err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if len(req.Events) == 0 {
-		writeError(w, fmt.Errorf("service: events batch is empty"))
+		WriteError(w, fmt.Errorf("service: events batch is empty"))
 		return
 	}
 	if req.Seq < 0 {
-		writeError(w, fmt.Errorf("service: negative batch seq %d", req.Seq))
+		WriteError(w, fmt.Errorf("service: negative batch seq %d", req.Seq))
 		return
 	}
 
@@ -478,11 +478,11 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	for i, ev := range req.Events {
 		oi, ok := idx[ev.Obj]
 		if !ok {
-			writeError(w, fmt.Errorf("service: events[%d]: unknown object %q", i, ev.Obj))
+			WriteError(w, fmt.Errorf("service: events[%d]: unknown object %q", i, ev.Obj))
 			return
 		}
 		if ev.Node < 0 || ev.Node >= sess.instance.N() {
-			writeError(w, fmt.Errorf("service: events[%d]: node %d out of range [0,%d)", i, ev.Node, sess.instance.N()))
+			WriteError(w, fmt.Errorf("service: events[%d]: node %d out of range [0,%d)", i, ev.Node, sess.instance.N()))
 			return
 		}
 		objOf[i] = oi
@@ -493,17 +493,17 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		// Per-event cap before summing: a huge count must not overflow
 		// the running total past the batch check.
 		if count > maxSessionEventBatch {
-			writeError(w, fmt.Errorf("service: events[%d]: count %d exceeds the %d-event batch cap", i, count, maxSessionEventBatch))
+			WriteError(w, fmt.Errorf("service: events[%d]: count %d exceeds the %d-event batch cap", i, count, maxSessionEventBatch))
 			return
 		}
 		if total += count; total > maxSessionEventBatch {
-			writeError(w, fmt.Errorf("service: events batch expands past %d events", maxSessionEventBatch))
+			WriteError(w, fmt.Errorf("service: events batch expands past %d events", maxSessionEventBatch))
 			return
 		}
 	}
 	resp, err := s.applyBatch(r.Context(), sess, req, objOf, total)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	if req.Seq > 0 {
@@ -613,7 +613,7 @@ func (s *Server) recordEpoch(rep *stream.EpochReport) SessionEpochJSON {
 func (s *Server) handleSessionFlush(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	sess.mu.Lock()
@@ -624,7 +624,7 @@ func (s *Server) handleSessionFlush(w http.ResponseWriter, r *http.Request) {
 		// wait closes nothing.
 		release, err := s.engine.slot(r.Context())
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		workers, giveBack := s.engine.lend(len(sess.instance.Objects))
@@ -643,7 +643,7 @@ func (s *Server) handleSessionFlush(w http.ResponseWriter, r *http.Request) {
 		// failed checkpoint.
 		if err := sess.log.rotate(sess.engine.State(), sess.lastSeq); err != nil {
 			s.counters.persistErrors.Add(1)
-			writeError(w, fmt.Errorf("%w: flush not durable: %v", ErrInternal, err))
+			WriteError(w, fmt.Errorf("%w: flush not durable: %v", ErrInternal, err))
 			return
 		}
 	}
@@ -655,7 +655,7 @@ func (s *Server) handleSessionFlush(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionPlacement(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, ErrNotFound)
+		WriteError(w, ErrNotFound)
 		return
 	}
 	sess.mu.Lock()

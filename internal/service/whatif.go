@@ -58,19 +58,9 @@ type baseRecord struct {
 // under the same solve options, fanning them across the engine's worker
 // pool. The i-th error slot is nil iff the i-th result is valid.
 func (e *Engine) WhatIf(ctx context.Context, id string, opts SolveOptions, scenarios []Scenario) ([]SolveResult, []error) {
-	results := make([]SolveResult, len(scenarios))
-	errs := make([]error, len(scenarios))
-	done := make(chan int)
-	for i := range scenarios {
-		go func(i int) {
-			defer func() { done <- i }()
-			results[i], errs[i] = e.Scenario(ctx, id, opts, scenarios[i])
-		}(i)
-	}
-	for range scenarios {
-		<-done
-	}
-	return results, errs
+	return fanOut(len(scenarios), func(i int) (SolveResult, error) {
+		return e.Scenario(ctx, id, opts, scenarios[i])
+	})
 }
 
 // Scenario answers one what-if scenario, incrementally when possible.
@@ -279,9 +269,9 @@ func (e *Engine) scenarioIncremental(ctx context.Context, id string, in *core.In
 }
 
 // scenarioFull solves a patched instance from scratch — the fallback for
-// structural changes (storage fees, non-approx algorithms). The derived
-// instance still shares the base's warmed oracle, since the network is
-// unchanged.
+// structural changes (storage fees, non-approx algorithms) — through the
+// same run as a resident solve. The derived instance still shares the
+// base's warmed oracle, since the network is unchanged.
 func (e *Engine) scenarioFull(ctx context.Context, id string, in *core.Instance, opts SolveOptions, sc Scenario, patched []core.Object, storage []float64) (SolveResult, error) {
 	if storage == nil {
 		storage = in.Storage
@@ -291,39 +281,10 @@ func (e *Engine) scenarioFull(ctx context.Context, id string, in *core.Instance,
 		return SolveResult{}, err
 	}
 	scen.SetMetric(in.Metric())
-	if err := e.checkDeadline(ctx); err != nil {
-		e.counters.errors.Add(1)
-		return SolveResult{}, err
-	}
-	release, err := e.admit(ctx)
+	res, err := e.run(ctx, id, scen, opts)
 	if err != nil {
 		return SolveResult{}, err
 	}
-	defer release()
-	if e.cfg.SolveTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.SolveTimeout)
-		defer cancel()
-	}
-	e.counters.runs.Add(1)
-	start := time.Now()
-	res := SolveResult{InstanceID: id, Options: opts, Scenario: sc.Label}
-	p, treeCost, err := e.solveInstance(ctx, scen, opts)
-	if err != nil {
-		e.counters.errors.Add(1)
-		return SolveResult{}, err
-	}
-	res.TreeCost = treeCost
-	pj, err := encode.PlacementJSONOf(scen, p)
-	if err != nil {
-		e.counters.errors.Add(1)
-		return SolveResult{}, err
-	}
-	res.Placement = pj
-	res.Breakdown = breakdownJSON(scen.Cost(p))
-	for _, c := range p.Copies {
-		res.Copies += len(c)
-	}
-	res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return res, nil
+	res.Scenario = sc.Label
+	return *res, nil
 }
