@@ -16,6 +16,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -330,6 +331,125 @@ func TestClusterDocs(t *testing.T) {
 	}
 	if !strings.Contains(string(replay), "-peers") || !strings.Contains(string(replay), "docs/cluster.md") {
 		t.Error("cmd/netreplay doc comment does not cover -peers / docs/cluster.md")
+	}
+}
+
+// kernelDirs are the packages that implement the paper's algorithm. They
+// keep one implementation per job: a second copy of a kernel, or a helper
+// only tests call, is what TestNoUnreachedExports catches.
+var kernelDirs = []string{"internal/graph", "internal/metric", "internal/core", "internal/stream"}
+
+// unreachedAllowed lists the exported functions and methods of
+// kernelDirs that no non-test file names but that stay, each with its
+// reason. Keys are package.Func or package.Type.Method.
+var unreachedAllowed = map[string]string{
+	"graph.Graph.MSTKruskal":    "the independent reference the MetricMST tests check against",
+	"graph.Graph.Degree":        "the gen and CSR tests' structure checks",
+	"graph.Graph.NeighborList":  "the CSR tests' structure checks and the Steiner tests' reference",
+	"metric.Space.Check":        "the tests' check of the metric axioms the paper's lemmas assume",
+	"metric.AvgDist":            "the paper's d(v, z), the reference the radii kernels are tested against",
+	"core.MakeRestricted":       "builds the restricted placement whose cost Lemma 1 bounds, for its tests",
+	"core.Instance.ServeCounts": "counts the requests each copy serves, for the restricted-placement tests",
+	"core.Instance.NearestCopy": "public API through the netplace.Instance alias",
+	"stream.WriteTrace":         "encodes the trace format in the fuzz round trip",
+}
+
+// TestNoUnreachedExports asserts that every exported function or method
+// declared in the non-test files of kernelDirs is named by a non-test file
+// somewhere in the repository (netbench/ included), or is listed in
+// unreachedAllowed with its reason. Every allowlist entry must name a
+// declared function that is still unreached, so the list cannot go stale.
+//
+// The check is syntactic (go/ast, no type checking). A package-level
+// function counts as named by a bare identifier in its own package or by a
+// pkg.Func selector through an import of that package. A method counts as
+// named by any selector with its name, whatever the receiver, so a method
+// whose name another type's reached method shares counts as reached.
+func TestNoUnreachedExports(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(dir string) map[string]*ast.Package {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkgs
+	}
+	named := map[string]bool{}     // "<dir>.<name>" for package-level uses
+	selectors := map[string]bool{} // every selector name, for methods
+	for _, dir := range sourceDirs(t) {
+		pkgs := parse(dir)
+		dir = filepath.ToSlash(dir)
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				imports := map[string]string{} // local name -> package dir
+				for _, imp := range f.Imports {
+					p := strings.Trim(imp.Path.Value, `"`)
+					rel, ok := strings.CutPrefix(p, "netplace/")
+					if !ok {
+						continue
+					}
+					local := path.Base(p)
+					if imp.Name != nil {
+						local = imp.Name.Name
+					}
+					imports[local] = rel
+				}
+				skip := map[*ast.Ident]bool{}
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.FuncDecl:
+						skip[x.Name] = true // a declaration names nothing
+					case *ast.SelectorExpr:
+						skip[x.Sel] = true
+						selectors[x.Sel.Name] = true
+						if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+							named[imports[id.Name]+"."+x.Sel.Name] = true
+						}
+					case *ast.Ident:
+						if !skip[x] {
+							named[dir+"."+x.Name] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	declared := map[string]bool{}
+	for _, dir := range kernelDirs {
+		for _, pkg := range parse(dir) {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || !fn.Name.IsExported() {
+						continue
+					}
+					key := path.Base(dir) + "." + fn.Name.Name
+					reached := named[dir+"."+fn.Name.Name]
+					if fn.Recv != nil && len(fn.Recv.List) > 0 {
+						key = path.Base(dir) + "." + receiverType(fn.Recv.List[0].Type) + "." + fn.Name.Name
+						reached = selectors[fn.Name.Name]
+					}
+					declared[key] = true
+					_, allowed := unreachedAllowed[key]
+					switch {
+					case !reached && !allowed:
+						t.Errorf("%s: %s is named by no non-test file; delete it or list it in unreachedAllowed with its reason",
+							fset.Position(fn.Pos()), key)
+					case reached && allowed:
+						t.Errorf("%s is reached; drop it from unreachedAllowed", key)
+					}
+				}
+			}
+		}
+	}
+	for key := range unreachedAllowed {
+		if !declared[key] {
+			t.Errorf("unreachedAllowed lists %s, which is not declared", key)
+		}
 	}
 }
 

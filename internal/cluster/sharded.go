@@ -72,14 +72,3 @@ func (sc *ShardedClient) Stats(ctx context.Context) (stats map[string]service.St
 	}
 	return stats, errs
 }
-
-// Ready reports the first replica that fails its /readyz probe, or nil
-// when every replica is ready.
-func (sc *ShardedClient) Ready(ctx context.Context) error {
-	for _, rep := range sc.router.members() {
-		if err := service.NewClient(rep, sc.router.client).Ready(ctx); err != nil {
-			return fmt.Errorf("cluster: replica %s not ready: %w", rep, err)
-		}
-	}
-	return nil
-}

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"netplace/internal/facility"
 	"netplace/internal/metric"
@@ -32,7 +31,7 @@ type Options struct {
 	SkipPhase3 bool
 	// Workers bounds the goroutines placing whole objects concurrently —
 	// object-level parallelism, the fan-out of ApproximateObjects, which
-	// Approximate runs over an instance's demand-group representatives.
+	// Approximate runs over every object of an instance.
 	// 0 and negative values select GOMAXPROCS; 1 runs sequentially. The
 	// result is bit-identical to the sequential run either way. A single
 	// object's solve shards by instance size alone: serial below
@@ -134,12 +133,8 @@ func putSolveWS(ws *solveWS) {
 //
 // The result is a proper placement with k1 = 29, k2 = 2 (Lemma 8) whose
 // storage cost is near-optimal (Lemma 9), hence a constant-factor
-// approximation of the total cost (Theorem 7).
-//
-// Objects whose request multiset and total write count coincide place
-// identically (the three phases read nothing else about an object), so
-// Approximate solves one representative per such group and copies the
-// result to the rest — one multi-source pipeline serving many objects.
+// approximation of the total cost (Theorem 7). Objects are placed
+// independently, across opt.Workers goroutines (see ApproximateObjects).
 func Approximate(in *Instance, opt Options) Placement {
 	return approximate(in, opt, 0)
 }
@@ -148,24 +143,11 @@ func Approximate(in *Instance, opt Options) Placement {
 // goroutines; 0 applies the size rule of metric.AutoWorkers. Only tests
 // pass a width, to reach the sharded scans on small instances.
 func approximate(in *Instance, opt Options, par int) Placement {
-	rep := demandGroups(in)
-	reps := make([]int, 0, len(in.Objects))
-	for i, r := range rep {
-		if r == i {
-			reps = append(reps, i)
-		}
+	objs := make([]int, len(in.Objects))
+	for i := range objs {
+		objs[i] = i
 	}
-	solved := approximateObjects(in, reps, opt, par)
-	p := Placement{Copies: make([][]int, len(in.Objects))}
-	for k, i := range reps {
-		p.Copies[i] = solved[k]
-	}
-	for i, r := range rep {
-		if r != i {
-			p.Copies[i] = append([]int(nil), p.Copies[r]...)
-		}
-	}
-	return p
+	return Placement{Copies: approximateObjects(in, objs, opt, par)}
 }
 
 // ApproximateObjects places the listed objects of in (indexes into
@@ -181,104 +163,22 @@ func ApproximateObjects(in *Instance, objs []int, opt Options) [][]int {
 }
 
 // approximateObjects is ApproximateObjects with every object's solve
-// sharded across par goroutines (0: the size rule).
+// sharded across par goroutines (0: the size rule). Each object-level
+// worker claims objects one at a time and keeps one pooled workspace.
 func approximateObjects(in *Instance, objs []int, opt Options, par int) [][]int {
 	out := make([][]int, len(objs))
-	workers := opt.workers()
-	if workers > len(objs) {
-		workers = len(objs)
-	}
-	if workers <= 1 {
+	metric.Shard(len(objs), 1, opt.workers(), func(claim func() (int, int, bool)) {
 		ws := solvePool.Get().(*solveWS)
-		for k, i := range objs {
-			out[k] = approximateObject(in, &in.Objects[i], opt, ws, par)
-		}
-		putSolveWS(ws)
-		return out
-	}
-	in.Metric() // resolve the shared oracle before fanning out
-	var next int64 = -1
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			ws := solvePool.Get().(*solveWS)
-			defer putSolveWS(ws)
-			for {
-				k := int(atomic.AddInt64(&next, 1))
-				if k >= len(objs) {
-					return
-				}
-				out[k] = approximateObject(in, &in.Objects[objs[k]], opt, ws, par)
+		defer putSolveWS(ws)
+		for {
+			k, _, ok := claim()
+			if !ok {
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			out[k] = approximateObject(in, &in.Objects[objs[k]], opt, ws, par)
+		}
+	})
 	return out
-}
-
-// demandGroups assigns every object the index of its representative: the
-// first object with an elementwise-identical fr+fw request vector and the
-// same total write count. rep[i] == i marks a representative.
-func demandGroups(in *Instance) []int {
-	rep := make([]int, len(in.Objects))
-	for i := range rep {
-		rep[i] = i
-	}
-	if len(in.Objects) < 2 {
-		return rep
-	}
-	byHash := make(map[uint64][]int, len(in.Objects))
-	for i := range in.Objects {
-		o := &in.Objects[i]
-		h := demandHash(o)
-		for _, j := range byHash[h] {
-			if sameDemand(o, &in.Objects[j]) {
-				rep[i] = j
-				break
-			}
-		}
-		if rep[i] == i {
-			byHash[h] = append(byHash[h], i)
-		}
-	}
-	return rep
-}
-
-// demandHash is an FNV-1a hash of an object's request vector and total
-// write count — the exact inputs the solve pipeline reads.
-func demandHash(o *Object) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime
-		}
-	}
-	for v := range o.Reads {
-		mix(uint64(o.Reads[v] + o.Writes[v]))
-	}
-	mix(uint64(o.TotalWrites()))
-	return h
-}
-
-// sameDemand reports whether two objects present identical inputs to the
-// solve pipeline: same fr+fw vector and same total write count.
-func sameDemand(a, b *Object) bool {
-	if a.TotalWrites() != b.TotalWrites() {
-		return false
-	}
-	for v := range a.Reads {
-		if a.Reads[v]+a.Writes[v] != b.Reads[v]+b.Writes[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // approximateObject places a single object using the given workspace,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 
 	"netplace/internal/facility"
 )
@@ -108,24 +107,6 @@ func GreedyAdd(in *Instance) Placement {
 	return p
 }
 
-// RandomPlacement places each object on k distinct uniform random nodes.
-func RandomPlacement(in *Instance, k int, rng *rand.Rand) Placement {
-	if k < 1 {
-		k = 1
-	}
-	if k > in.N() {
-		k = in.N()
-	}
-	p := Placement{Copies: make([][]int, len(in.Objects))}
-	for i := range p.Copies {
-		perm := rng.Perm(in.N())[:k]
-		set := append([]int(nil), perm...)
-		sortInts(set)
-		p.Copies[i] = set
-	}
-	return p
-}
-
 func cheapestNode(in *Instance) []int {
 	best := 0
 	for v := 1; v < in.N(); v++ {
@@ -142,12 +123,4 @@ func insertSorted(s []int, v int) []int {
 		s[i-1], s[i] = s[i], s[i-1]
 	}
 	return s
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }

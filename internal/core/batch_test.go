@@ -8,58 +8,57 @@ import (
 	"testing"
 )
 
-// TestDemandGroupBatching pins the batched solve's contract: objects with
-// identical request multisets and write totals share one representative
-// solve, and the result — sequential, parallel, or via the object-list
-// kernel — is identical to solving every object from scratch.
-func TestDemandGroupBatching(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	in := intWeightInstance(rng, 20, 3, false)
-	// Duplicate object 0's workload into two clones: same reads+writes
-	// elementwise (identical placement inputs), different names and sizes
-	// (which must not affect the copy set).
-	clone := func(name string, size float64) Object {
-		o := Object{Name: name, Size: size,
-			Reads:  append([]int64(nil), in.Objects[0].Reads...),
-			Writes: append([]int64(nil), in.Objects[0].Writes...)}
-		return o
-	}
-	objs := append(append([]Object(nil), in.Objects...), clone("dup-a", 2), clone("dup-b", 7))
-	// A demand-equivalent pair with a different read/write split but the
-	// same fr+fw vector and the same total writes must also share a group.
-	swapped := clone("dup-swapped", 1)
-	for v := range swapped.Reads {
-		if swapped.Writes[v] > 0 && swapped.Reads[v] > 0 {
-			swapped.Reads[v]++
-			swapped.Writes[v]--
+// TestEqualDemandPlacesAlike: the three phases read nothing of an object
+// but its fr+fw request vector and its write total, so objects equal in
+// both get equal copy sets — from Approximate at widths 1, 2 and 4, and
+// from ApproximateObjects placing each alone — whatever their names,
+// sizes and read/write split.
+func TestEqualDemandPlacesAlike(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(11 + seed))
+		in := intWeightInstance(rng, 12+rng.Intn(12), 3, seed%2 == 1)
+		clone := func(name string, size float64) Object {
+			return Object{Name: name, Size: size,
+				Reads:  append([]int64(nil), in.Objects[0].Reads...),
+				Writes: append([]int64(nil), in.Objects[0].Writes...)}
 		}
-	}
-	if swapped.TotalWrites() == in.Objects[0].TotalWrites() {
-		objs = append(objs, swapped)
-	}
-	batched := MustInstance(in.G, in.Storage, objs)
-
-	rep := demandGroups(batched)
-	if rep[len(in.Objects)] != 0 || rep[len(in.Objects)+1] != 0 {
-		t.Fatalf("duplicated objects not grouped under object 0: rep=%v", rep)
-	}
-
-	got := Approximate(batched, Options{Workers: 1})
-	par := Approximate(batched, Options{Workers: 4})
-	if !reflect.DeepEqual(got.Copies, par.Copies) {
-		t.Fatalf("parallel batched solve diverged from sequential:\n%v\n%v", par.Copies, got.Copies)
-	}
-	for i := range batched.Objects {
-		want := ApproximateObjects(batched, []int{i}, Options{Workers: 1})[0]
-		if !reflect.DeepEqual(got.Copies[i], want) {
-			t.Fatalf("object %d: batched copies %v, from-scratch %v", i, got.Copies[i], want)
+		objs := append(append([]Object(nil), in.Objects...), clone("dup-a", 2), clone("dup-b", 7))
+		// Move one write to a read at one node and one read to a write at
+		// another: the same fr+fw vector and the same write total.
+		swapped := clone("dup-swapped", 1)
+		from, to := -1, -1
+		for v := range swapped.Reads {
+			if from < 0 && swapped.Writes[v] > 0 {
+				from = v
+			} else if to < 0 && swapped.Reads[v] > 0 {
+				to = v
+			}
 		}
-	}
-	// Shared copy sets must not alias: mutating one object's result cannot
-	// corrupt its group siblings.
-	got.Copies[len(in.Objects)][0] = -1
-	if got.Copies[0][0] == -1 {
-		t.Fatal("grouped objects share a copy-set backing array")
+		if from >= 0 && to >= 0 {
+			swapped.Writes[from]--
+			swapped.Reads[from]++
+			swapped.Reads[to]--
+			swapped.Writes[to]++
+			objs = append(objs, swapped)
+		}
+		dup := MustInstance(in.G, in.Storage, objs)
+		alone := make([][]int, len(dup.Objects))
+		for i := range dup.Objects {
+			alone[i] = ApproximateObjects(dup, []int{i}, Options{Workers: 1})[0]
+		}
+		for i := len(in.Objects); i < len(objs); i++ {
+			if !reflect.DeepEqual(alone[i], alone[0]) {
+				t.Fatalf("seed %d: %s placed alone at %v, its demand twin at %v", seed, objs[i].Name, alone[i], alone[0])
+			}
+		}
+		for _, w := range []int{1, 2, 4} {
+			got := Approximate(dup, Options{Workers: w})
+			for i := range dup.Objects {
+				if !reflect.DeepEqual(got.Copies[i], alone[i]) {
+					t.Fatalf("seed %d workers %d: object %d got %v, alone %v", seed, w, i, got.Copies[i], alone[i])
+				}
+			}
+		}
 	}
 }
 
@@ -68,8 +67,8 @@ func TestDemandGroupBatching(t *testing.T) {
 // every object, shuffled subsets, repeats and demand-identical objects)
 // and whatever the width: the object fan-out at 1, 2, 4, 8 and GOMAXPROCS
 // goroutines, alone and composed with per-object sharding through the
-// unexported seams, including Approximate's fan-out over its demand-group
-// representatives. Random instances on Dense, evicting Lazy and Tree.
+// unexported seams, including Approximate's fan-out over every object.
+// Random instances on Dense, evicting Lazy and Tree.
 func TestApproximateObjectsMatchesAlone(t *testing.T) {
 	widths := []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)}
 	for seed := int64(0); seed < 3; seed++ {

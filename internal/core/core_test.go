@@ -226,15 +226,6 @@ func TestBaselinesShape(t *testing.T) {
 	if err := fo.Validate(in); err != nil {
 		t.Fatal(err)
 	}
-	rp := RandomPlacement(in, 3, rng)
-	if err := rp.Validate(in); err != nil {
-		t.Fatal(err)
-	}
-	for i := range rp.Copies {
-		if len(rp.Copies[i]) != 3 {
-			t.Fatal("random placement size wrong")
-		}
-	}
 }
 
 func TestSingleBestIsOptimalAmongSingletons(t *testing.T) {

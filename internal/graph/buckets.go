@@ -173,11 +173,3 @@ func (s *Scanner) RowAutoInto(src int, row []float64) []float64 {
 	}
 	return s.RowInto(src, row)
 }
-
-// ScanBuckets visits nodes in nondecreasing distance from src with the
-// bucketed SSSP kernel (heap fallback on unsuitable weight profiles) —
-// the one-shot form of Scanner.ScanBuckets for callers without a pooled
-// Scanner.
-func ScanBuckets(g *Graph, src int, fn func(v int, d float64) bool) {
-	NewScanner(g).ScanBuckets(src, fn)
-}

@@ -117,9 +117,10 @@ func TestScanBucketsFallsBackOnWideSpread(t *testing.T) {
 func TestScanBucketsOrderAndEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	g := randomBucketable(rng, 120, 200, false)
+	sc := NewScanner(g)
 	var order []int
 	var dists []float64
-	ScanBuckets(g, 5, func(v int, d float64) bool {
+	sc.ScanBuckets(5, func(v int, d float64) bool {
 		order = append(order, v)
 		dists = append(dists, d)
 		return true
@@ -136,7 +137,7 @@ func TestScanBucketsOrderAndEarlyStop(t *testing.T) {
 		}
 	}
 	seen := 0
-	ScanBuckets(g, 5, func(v int, d float64) bool {
+	sc.ScanBuckets(5, func(v int, d float64) bool {
 		seen++
 		return seen < 10
 	})

@@ -11,9 +11,10 @@ package graph
 // Beyond truncated scans it also provides the allocation-free forms of the
 // other sweep kernels — full rows (RowInto), multi-source nearest fields
 // (ScanFrom, NearestInto), pruned nearest-field improvement
-// (ImproveNearest) and potential-seeded relaxation (Relax) — so a pooled
-// Scanner is the one reusable workspace behind every Dijkstra-shaped
-// operation in the repository.
+// (ImproveNearest) and potential-seeded relaxation (Relax). One
+// Dijkstra-shaped operation stays outside it: Graph.Dijkstra, which also
+// returns the shortest-path parent tree (the network simulator routes
+// along it) and is the tests' independent reference for the Scanner.
 //
 // A Scanner is not safe for concurrent use; pool Scanners per goroutine.
 // Many Scanners over one graph may run concurrently: they share the
@@ -196,9 +197,10 @@ func (s *Scanner) ImproveNearest(src int, near []float64) {
 
 // Relax replaces vals in place with, for every node v,
 // min_u (vals[u] + d(u, v)) — a multi-source Dijkstra whose sources carry
-// initial potentials; entries of +Inf are non-sources. This is the
-// allocation-free form of Graph.Relax for callers that can reuse a Scanner
-// (the Steiner dynamic program calls it once per terminal subset).
+// initial potentials; entries of +Inf are non-sources. It is the
+// graph-native form of the dense relaxation row[v] = min_u (row[u] +
+// dist[u][v]) that the Steiner dynamic program runs once per terminal
+// subset, without an all-pairs matrix.
 func (s *Scanner) Relax(vals []float64) {
 	if len(vals) != s.g.n {
 		panic("graph: Relax length mismatch")
@@ -223,61 +225,4 @@ func (s *Scanner) Relax(vals []float64) {
 			}
 		}
 	}
-}
-
-// ImproveNearest merges the distances from src into near, exploring only
-// the improved region. Allocation-conscious repeated callers should hold
-// a Scanner and use its method of the same name; this one-shot form keeps
-// its scratch in a map sized to the improved region, so a call that
-// improves a 10-node pocket of a 50k-node graph does not allocate O(n)
-// scanner arrays.
-func (g *Graph) ImproveNearest(src int, near []float64) {
-	if len(near) != g.n {
-		panic("graph: ImproveNearest length mismatch")
-	}
-	if near[src] <= 0 {
-		return
-	}
-	c := g.csr()
-	dist := make(map[int]float64, 16)
-	q := pq{{node: src, dist: 0}}
-	dist[src] = 0
-	for len(q) > 0 {
-		it := q.pop()
-		v := it.node
-		if d, ok := dist[v]; !ok || it.dist > d {
-			continue
-		}
-		if it.dist < near[v] {
-			near[v] = it.dist
-		}
-		for i, end := c.off[v], c.off[v+1]; i < end; i++ {
-			to := int(c.to[i])
-			nd := it.dist + c.w[i]
-			if nd >= near[to] {
-				continue
-			}
-			if d, ok := dist[to]; ok && nd >= d {
-				continue
-			}
-			dist[to] = nd
-			q.push(pqItem{node: to, dist: nd})
-		}
-	}
-}
-
-// Relax computes, for every node v, min_u (init[u] + d(u, v)) — a
-// multi-source Dijkstra whose sources carry initial potentials. init entries
-// of +Inf are non-sources. The input slice is not modified. This is the
-// graph-native form of the dense-matrix relaxation pass
-// row[v] = min_u (row[u] + dist[u][v]) used by Steiner dynamic programs, and
-// lets them run without an all-pairs matrix.
-func (g *Graph) Relax(init []float64) []float64 {
-	if len(init) != g.n {
-		panic("graph: Relax length mismatch")
-	}
-	out := make([]float64, g.n)
-	copy(out, init)
-	NewScanner(g).Relax(out)
-	return out
 }

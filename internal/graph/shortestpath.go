@@ -99,45 +99,6 @@ func (g *Graph) Dijkstra(src int) (dist []float64, parent []int) {
 	return dist, parent
 }
 
-// DijkstraFrom computes shortest path distances from a set of sources
-// (a "multi-source" Dijkstra). dist[v] is the distance from v to the nearest
-// source; src[v] identifies that source (-1 if unreachable).
-// It is used to find the nearest copy of an object for every node at once.
-func (g *Graph) DijkstraFrom(sources []int) (dist []float64, src []int) {
-	dist = make([]float64, g.n)
-	src = make([]int, g.n)
-	for i := range dist {
-		dist[i] = Inf
-		src[i] = -1
-	}
-	q := pq{}
-	for _, s := range sources {
-		if dist[s] > 0 {
-			dist[s] = 0
-			src[s] = s
-			q.push(pqItem{node: s, dist: 0})
-		}
-	}
-	done := make([]bool, g.n)
-	c := g.csr()
-	for len(q) > 0 {
-		it := q.pop()
-		v := it.node
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		for i, end := c.off[v], c.off[v+1]; i < end; i++ {
-			if to := int(c.to[i]); dist[v]+c.w[i] < dist[to] {
-				dist[to] = dist[v] + c.w[i]
-				src[to] = src[v]
-				q.push(pqItem{node: to, dist: dist[to]})
-			}
-		}
-	}
-	return dist, src
-}
-
 // AllPairs computes the full shortest-path distance matrix by running
 // Dijkstra from every node: O(n (m + n) log n). For the dense metric view
 // used by the placement algorithms this is both the distance function ct and
@@ -208,28 +169,4 @@ func PathTo(parent []int, src, dst int) []int {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// Eccentricity returns the maximum shortest-path distance from v to any node.
-func (g *Graph) Eccentricity(v int) float64 {
-	dist, _ := g.Dijkstra(v)
-	max := 0.0
-	for _, d := range dist {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// WeightedDiameter returns the maximum over nodes of Eccentricity, i.e. the
-// largest shortest-path distance in the graph.
-func (g *Graph) WeightedDiameter() float64 {
-	max := 0.0
-	for v := 0; v < g.n; v++ {
-		if e := g.Eccentricity(v); e > max {
-			max = e
-		}
-	}
-	return max
 }

@@ -1,17 +1,14 @@
 package graph
 
-import "sort"
-
 // UnionFind is a disjoint-set forest with union by rank and path compression.
 type UnionFind struct {
 	parent []int
 	rank   []byte
-	sets   int
 }
 
 // NewUnionFind returns a union-find over n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]byte, n), sets: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]byte, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -40,12 +37,8 @@ func (uf *UnionFind) Union(a, b int) bool {
 	if uf.rank[ra] == uf.rank[rb] {
 		uf.rank[ra]++
 	}
-	uf.sets--
 	return true
 }
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
 
 // MSTKruskal returns a minimum spanning tree (forest, if disconnected) as an
 // edge list, together with its total weight.
@@ -64,93 +57,6 @@ func (g *Graph) MSTKruskal() ([]Edge, float64) {
 		}
 	}
 	return tree, total
-}
-
-// MSTPrim returns a minimum spanning tree rooted at node 0 using a lazy
-// binary-heap Prim's algorithm, as an edge list with its total weight.
-// For disconnected graphs it spans only the component of node 0.
-func (g *Graph) MSTPrim() ([]Edge, float64) {
-	if g.n == 0 {
-		return nil, 0
-	}
-	type cand struct {
-		w    float64
-		u, v int
-	}
-	inTree := make([]bool, g.n)
-	var tree []Edge
-	total := 0.0
-	adj := g.csr()
-	// Simple pair-heap via sort-free sift; reuse pq with encoded edges would
-	// be uglier, so keep a local heap of candidates.
-	h := candHeap{}
-	add := func(v int) {
-		inTree[v] = true
-		for i, end := adj.off[v], adj.off[v+1]; i < end; i++ {
-			if to := int(adj.to[i]); !inTree[to] {
-				h.push(cand{w: adj.w[i], u: v, v: to})
-			}
-		}
-	}
-	add(0)
-	for len(h) > 0 {
-		c := h.pop()
-		if inTree[c.v] {
-			continue
-		}
-		tree = append(tree, Edge{U: c.u, V: c.v, W: c.w})
-		total += c.w
-		add(c.v)
-	}
-	return tree, total
-}
-
-type candHeap []struct {
-	w    float64
-	u, v int
-}
-
-func (h *candHeap) push(c struct {
-	w    float64
-	u, v int
-}) {
-	*h = append(*h, c)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].w <= (*h)[i].w {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *candHeap) pop() struct {
-	w    float64
-	u, v int
-} {
-	top := (*h)[0]
-	n := len(*h) - 1
-	(*h)[0] = (*h)[n]
-	*h = (*h)[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && (*h)[l].w < (*h)[s].w {
-			s = l
-		}
-		if r < n && (*h)[r].w < (*h)[s].w {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		(*h)[i], (*h)[s] = (*h)[s], (*h)[i]
-		i = s
-	}
-	return top
 }
 
 // MetricMST computes the weight of a minimum spanning tree over the point
@@ -192,49 +98,6 @@ func MetricMST(dist [][]float64, points []int) float64 {
 		}
 	}
 	return total
-}
-
-// MetricMSTTree returns the edges (as index pairs into points) of a minimum
-// spanning tree over points under the dense metric dist, plus total weight.
-func MetricMSTTree(dist [][]float64, points []int) ([][2]int, float64) {
-	k := len(points)
-	if k <= 1 {
-		return nil, 0
-	}
-	inTree := make([]bool, k)
-	best := make([]float64, k)
-	from := make([]int, k)
-	for i := range best {
-		best[i] = Inf
-		from[i] = -1
-	}
-	inTree[0] = true
-	for j := 1; j < k; j++ {
-		best[j] = dist[points[0]][points[j]]
-		from[j] = 0
-	}
-	var edges [][2]int
-	total := 0.0
-	for it := 1; it < k; it++ {
-		sel := -1
-		for j := 0; j < k; j++ {
-			if !inTree[j] && (sel == -1 || best[j] < best[sel]) {
-				sel = j
-			}
-		}
-		edges = append(edges, [2]int{from[sel], sel})
-		total += best[sel]
-		inTree[sel] = true
-		for j := 0; j < k; j++ {
-			if !inTree[j] {
-				if d := dist[points[sel]][points[j]]; d < best[j] {
-					best[j] = d
-					from[j] = sel
-				}
-			}
-		}
-	}
-	return edges, total
 }
 
 // TreeParents roots a tree graph at root and returns for each node its
@@ -298,17 +161,4 @@ func (g *Graph) SubtreeSteiner(terminals []int) float64 {
 		}
 	}
 	return total
-}
-
-// Leaves returns the nodes of degree <= 1 in ascending order.
-func (g *Graph) Leaves() []int {
-	var out []int
-	c := g.csr()
-	for v := 0; v < g.n; v++ {
-		if c.off[v+1]-c.off[v] <= 1 {
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

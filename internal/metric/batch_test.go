@@ -65,23 +65,24 @@ func TestRowsIntoMatchesRow(t *testing.T) {
 	}
 }
 
-// The package helper must serve batching backends through RowsInto and
-// everything else through per-node Row fetches, identically.
+// The row prefetches (NearestIdx, Workspace.PairwiseMST) serve batching
+// backends through RowsInto and fall back to per-node Row fetches on the
+// rest; both paths must give the same rows.
 func TestRowsHelperFallback(t *testing.T) {
 	g, ref := batchFixture(9, 80)
 	us := []int{3, 41, 3, 77, 0}
 
 	l := NewLazy(g, 16)
-	for i, row := range Rows(l, us, 2) {
-		rowsEqualBitwise(t, row, ref.Row(us[i]), "Rows(lazy)")
+	for i, row := range l.RowsInto(us, nil, 2) {
+		rowsEqualBitwise(t, row, ref.Row(us[i]), "RowsInto(lazy)")
 	}
 
 	var dense Oracle = New(Materialize(ref)) // no RowBatcher capability
 	if _, ok := dense.(RowBatcher); ok {
 		t.Fatal("dense Space unexpectedly implements RowBatcher")
 	}
-	for i, row := range Rows(dense, us, 2) {
-		rowsEqualBitwise(t, row, ref.Row(us[i]), "Rows(dense)")
+	for _, u := range us {
+		rowsEqualBitwise(t, dense.Row(u), ref.Row(u), "Row(dense)")
 	}
 }
 

@@ -84,30 +84,6 @@ func (s *Space) Check(eps float64) bool {
 	return true
 }
 
-// Median returns the 1-median of the space under non-negative node weights:
-// the node v minimising sum_u weight[u] * d(v, u), and that minimum value.
-func (s *Space) Median(weight []float64) (int, float64) {
-	return Median(s, weight)
-}
-
-// Median returns the 1-median of the oracle metric under non-negative node
-// weights. O(n) row fetches; inherently quadratic work.
-func Median(o Oracle, weight []float64) (int, float64) {
-	best, bestCost := -1, math.Inf(1)
-	n := o.N()
-	for v := 0; v < n; v++ {
-		row := o.Row(v)
-		c := 0.0
-		for u := 0; u < n; u++ {
-			c += weight[u] * row[u]
-		}
-		if c < bestCost {
-			best, bestCost = v, c
-		}
-	}
-	return best, bestCost
-}
-
 // Requests is the per-node request multiset for one object: Count[u] is the
 // number of requests issued at node u (for the radius definitions this is
 // fr(u) + fw(u), since a restricted placement does not differentiate reads

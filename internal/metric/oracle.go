@@ -87,20 +87,6 @@ type RowBatcher interface {
 	RowsInto(us []int, rows [][]float64, workers int) [][]float64
 }
 
-// Rows returns the distance rows of the nodes in us, using the oracle's
-// batched row construction when available (misses built in parallel
-// across workers; see RowBatcher) and one Row fetch per node otherwise.
-func Rows(o Oracle, us []int, workers int) [][]float64 {
-	rows := make([][]float64, len(us))
-	if rb, ok := o.(RowBatcher); ok {
-		return rb.RowsInto(us, rows, workers)
-	}
-	for i, u := range us {
-		rows[i] = o.Row(u)
-	}
-	return rows
-}
-
 // ScanNear visits nodes in nondecreasing distance from v, calling
 // fn(u, d) until it returns false. It uses the oracle's native scanner when
 // available and otherwise heap-selects from the distance row of v: nodes
@@ -240,21 +226,6 @@ func NearestIdx(o Oracle, sources []int) (dist []float64, idx []int) {
 		}
 	}
 	return dist, idx
-}
-
-// Pairwise extracts the k x k distance matrix over the given points using
-// one row fetch per point.
-func Pairwise(o Oracle, points []int) [][]float64 {
-	k := len(points)
-	d := make([][]float64, k)
-	for i, p := range points {
-		row := o.Row(p)
-		d[i] = make([]float64, k)
-		for j, q := range points {
-			d[i][j] = row[q]
-		}
-	}
-	return d
 }
 
 // PairwiseMST returns the weight of a minimum spanning tree over points

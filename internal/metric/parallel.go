@@ -17,9 +17,9 @@ import (
 // pooled graph.Scanner over the immutable CSR adjacency, and row fills
 // go through its sharded LRU.
 //
-// Shard and ShardWorkers are exported so the other sharded kernels of
-// the solve pipeline (facility's Mettu–Plaxton radii, core's phase-3
-// write radii) reuse the same cursor loop instead of growing their own.
+// Shard and ShardWorkers are exported so the other sharded loops of the
+// solve pipeline (facility's Mettu–Plaxton radii, core's object fan-out)
+// reuse the same cursor loop instead of growing their own.
 
 // ShardBlock is the dynamic-scheduling grain of the sharded radii
 // sweeps: payment balls vary wildly in size, so workers claim small node
@@ -106,45 +106,6 @@ func Shard(n, grain, workers int, worker func(claim func() (lo, hi int, ok bool)
 	wg.Wait()
 }
 
-// shardRadii runs per(ws, v) for every v in [0, n) across workers
-// goroutines, each with its own pooled Workspace. per must write only
-// results indexed by v.
-func shardRadii(n, workers int, per func(ws *Workspace, v int)) {
-	Shard(n, ShardBlock, workers, func(claim func() (int, int, bool)) {
-		ws := wsPool.Get().(*Workspace)
-		defer putWorkspace(ws)
-		for {
-			lo, hi, ok := claim()
-			if !ok {
-				return
-			}
-			for v := lo; v < hi; v++ {
-				per(ws, v)
-			}
-		}
-	})
-}
-
-// ComputeRadiiParallel is ComputeRadii with the per-node scans sharded
-// across workers goroutines (<= 1 runs serially; negative selects
-// GOMAXPROCS). Results are byte-identical to the serial kernel.
-func (w *Workspace) ComputeRadiiParallel(o Oracle, req Requests, writes int64, cs []float64, workers int) []Radii {
-	n := o.N()
-	if workers = ShardWorkers(workers, n, ShardBlock); workers <= 1 {
-		return w.ComputeRadii(o, req, writes, cs)
-	}
-	if cap(w.radii) < n {
-		w.radii = make([]Radii, n)
-	}
-	w.radii = w.radii[:n]
-	radii := w.radii
-	total := req.Total()
-	shardRadii(n, workers, func(ws *Workspace, v int) {
-		radii[v] = ws.radiiForNode(o, req, v, writes, total, cs[v])
-	})
-	return radii
-}
-
 // ComputeStorageRadiiParallel is ComputeStorageRadii with the per-node
 // scans sharded across workers goroutines (<= 1 runs serially; negative
 // selects GOMAXPROCS). Results are byte-identical to the serial kernel.
@@ -159,20 +120,20 @@ func (w *Workspace) ComputeStorageRadiiParallel(o Oracle, req Requests, cs []flo
 	w.radii = w.radii[:n]
 	radii := w.radii
 	total := req.Total()
-	shardRadii(n, workers, func(ws *Workspace, v int) {
-		radii[v] = ws.storageRadiiForNode(o, req, v, total, cs[v])
+	Shard(n, ShardBlock, workers, func(claim func() (int, int, bool)) {
+		ws := wsPool.Get().(*Workspace)
+		defer putWorkspace(ws)
+		for {
+			lo, hi, ok := claim()
+			if !ok {
+				return
+			}
+			for v := lo; v < hi; v++ {
+				radii[v] = ws.storageRadiiForNode(o, req, v, total, cs[v])
+			}
+		}
 	})
 	return radii
-}
-
-// WriteRadiusOf is Workspace.WriteRadius with pooled scratch: rw(v) for
-// one node, identical in value — the one-shot form for callers without a
-// workspace of their own.
-func WriteRadiusOf(o Oracle, req Requests, writes int64, v int) float64 {
-	ws := wsPool.Get().(*Workspace)
-	rw := ws.WriteRadius(o, req, writes, v)
-	putWorkspace(ws)
-	return rw
 }
 
 // WriteRadiiParallel fills radii[v].RW = rw(v) for every copy candidate

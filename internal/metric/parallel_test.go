@@ -41,8 +41,9 @@ func radiiFixture(t *testing.T, seed int64, n int) (o Oracle, req Requests, writ
 	return NewLazy(g, 64), req, writes, cs
 }
 
-// Sharded radii sweeps must be byte-identical to the serial kernels at
-// every worker count, on both the full and the storage-only variant.
+// The sharded radii kernels production runs — storage radii over every
+// node, write radii over the copy candidates — must be byte-identical to
+// the serial kernels at every worker count.
 func TestComputeRadiiParallelMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		o, req, writes, cs := radiiFixture(t, seed, 120)
@@ -50,28 +51,26 @@ func TestComputeRadiiParallelMatchesSerial(t *testing.T) {
 		serial := append([]Radii(nil), ws.ComputeRadii(o, req, writes, cs)...)
 		serialStore := append([]Radii(nil), ws.ComputeStorageRadii(o, req, cs)...)
 		for _, workers := range []int{2, 3, 8, -1} {
-			par := append([]Radii(nil), ws.ComputeRadiiParallel(o, req, writes, cs, workers)...)
-			if !reflect.DeepEqual(par, serial) {
-				t.Fatalf("seed %d workers %d: parallel radii diverged", seed, workers)
-			}
 			parStore := append([]Radii(nil), ws.ComputeStorageRadiiParallel(o, req, cs, workers)...)
 			if !reflect.DeepEqual(parStore, serialStore) {
 				t.Fatalf("seed %d workers %d: parallel storage radii diverged", seed, workers)
 			}
 		}
-		// The per-candidate helpers must agree with the full kernel too.
+		// The per-candidate kernels must agree with the full kernel too.
 		var order []int
 		for v := 0; v < o.N(); v += 17 {
-			if rw := WriteRadiusOf(o, req, writes, v); rw != serial[v].RW {
-				t.Fatalf("seed %d: WriteRadiusOf(%d) = %v, want %v", seed, v, rw, serial[v].RW)
+			if rw := ws.WriteRadius(o, req, writes, v); rw != serial[v].RW {
+				t.Fatalf("seed %d: WriteRadius(%d) = %v, want %v", seed, v, rw, serial[v].RW)
 			}
 			order = append(order, v)
 		}
-		got := make([]Radii, o.N())
-		WriteRadiiParallel(o, req, writes, order, got, 4)
-		for _, v := range order {
-			if got[v].RW != serial[v].RW {
-				t.Fatalf("seed %d: WriteRadiiParallel rw(%d) = %v, want %v", seed, v, got[v].RW, serial[v].RW)
+		for _, workers := range []int{1, 4} {
+			got := make([]Radii, o.N())
+			WriteRadiiParallel(o, req, writes, order, got, workers)
+			for _, v := range order {
+				if got[v].RW != serial[v].RW {
+					t.Fatalf("seed %d workers %d: WriteRadiiParallel rw(%d) = %v, want %v", seed, workers, v, got[v].RW, serial[v].RW)
+				}
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"netplace/internal/core"
+	"netplace/internal/graph"
 	"netplace/internal/metric"
 	"netplace/internal/workload"
 )
@@ -202,9 +203,8 @@ func New(in *core.Instance, p core.Placement) (*Simulator, error) {
 			if len(children[ci]) == 0 {
 				continue
 			}
-			_, par := g.Dijkstra(copies[ci])
 			for _, child := range children[ci] {
-				path := walkUp(par, copies[child], copies[ci])
+				path := graph.PathTo(trees[ci].parent, copies[ci], copies[child])
 				s.mcNext[oi][ci] = append(s.mcNext[oi][ci], path)
 			}
 		}
@@ -218,24 +218,6 @@ func New(in *core.Instance, p core.Placement) (*Simulator, error) {
 		}
 	}
 	return s, nil
-}
-
-// walkUp returns the node path from `from` to `root` using parent pointers
-// of a Dijkstra tree rooted at root.
-func walkUp(parent []int, from, root int) []int {
-	var path []int
-	for u := from; u != -1; u = parent[u] {
-		path = append(path, u)
-		if u == root {
-			break
-		}
-	}
-	// reverse so the path goes root -> from? callers forward copy -> child;
-	// the metered cost is symmetric, keep from -> root and reverse.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path
 }
 
 // Run injects every request in the instance (fr(v) reads and fw(v) writes

@@ -167,23 +167,6 @@ func (b *Breaker) Allow() bool {
 	}
 }
 
-// Ready is a non-consuming peek at Allow: true when a request right now
-// would be admitted (closed, or open with the backoff elapsed). Unlike
-// Allow it never claims the half-open probe slot, so callers can use it
-// to skip down peers without racing real traffic for the probe.
-func (b *Breaker) Ready() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		return !b.now().Before(b.until)
-	default:
-		return false
-	}
-}
-
 // Success records a successful contact: the breaker closes (from any
 // state), the failure count and backoff reset, and the peer counts as
 // seen — lifting the prober's boot grace (Seen).

@@ -37,7 +37,7 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 	if got := b.State(); got != BreakerOpen {
 		t.Fatalf("after 3 failures state=%v, want open", got)
 	}
-	if b.Allow() || b.Ready() {
+	if b.Allow() {
 		t.Fatal("open breaker admitted traffic before backoff elapsed")
 	}
 	if ra := b.RetryAfter(); ra != 100*time.Millisecond {
@@ -64,9 +64,6 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		t.Fatal("open breaker admitted traffic immediately")
 	}
 	clk.advance(100 * time.Millisecond)
-	if !b.Ready() {
-		t.Fatal("due breaker not Ready after backoff")
-	}
 	if !b.Allow() {
 		t.Fatal("due breaker refused the reopen probe")
 	}
@@ -74,7 +71,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		t.Fatalf("state=%v after probe admitted, want half-open", got)
 	}
 	// Exactly one probe: the slot is taken until the outcome lands.
-	if b.Allow() || b.Ready() {
+	if b.Allow() {
 		t.Fatal("half-open breaker admitted a second probe")
 	}
 	// Failed probe doubles the backoff.

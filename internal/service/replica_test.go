@@ -111,6 +111,36 @@ func TestReplicaPushAndDegradedReads(t *testing.T) {
 	}
 }
 
+// A replica that owns an instance it also holds as a snapshot (it was
+// the successor before a drain re-homed the instance to it) must drop
+// the snapshot when the instance is deleted: a stale-tolerant read of
+// the deleted id answers 404, not the snapshot.
+func TestReplicaDeleteDropsOwnSnapshot(t *testing.T) {
+	_, b, ca, cb := newReplicatedPair(t)
+	ctx := context.Background()
+	in := pathInstance(t, 12, 5)
+	up, err := ca.Upload(ctx, "rehomed", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Stats().ReplicaInstances; got != 1 {
+		t.Fatalf("successor replica_instances=%d after upload, want 1", got)
+	}
+	if _, err := cb.Upload(ctx, "rehomed", in); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.Delete(ctx, up.ID); err != nil {
+		t.Fatal(err)
+	}
+	var ae *APIError
+	if res, err := cb.SolveStale(ctx, up.ID, SolveOptions{}); !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Fatalf("stale solve of a deleted instance: stale=%v err=%v, want HTTP 404", res.Stale, err)
+	}
+	if got := b.Stats().ReplicaInstances; got != 0 {
+		t.Fatalf("replica_instances=%d after delete, want 0", got)
+	}
+}
+
 func TestReplicaPushRejectsHashMismatch(t *testing.T) {
 	_, b, _, cb := newReplicatedPair(t)
 	ctx := context.Background()

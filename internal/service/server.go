@@ -410,8 +410,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, ErrNotFound)
 		return
 	}
-	// Propagate to the successor's snapshot store so a deleted instance
-	// cannot keep being served by failover reads.
+	// Drop the snapshot this replica may hold too (it was the instance's
+	// successor before a drain re-homed the instance here), and propagate
+	// to the successor's store, so a deleted instance cannot keep being
+	// served by failover reads.
+	s.replicas.drop(id)
 	s.dropFromSuccessor(id)
 	if s.store != nil {
 		if err := s.store.deleteInstance(id); err != nil {

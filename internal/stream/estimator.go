@@ -86,16 +86,6 @@ func (e *Estimator) Observe(r workload.Request) {
 // Epochs returns the number of closed epochs.
 func (e *Estimator) Epochs() int { return e.epochs }
 
-// WindowFull reports whether the estimator has seen enough epochs to fill
-// its configured memory (Window epochs for the sliding window; one
-// effective window, ~1/Alpha epochs, for the EWMA).
-func (e *Estimator) WindowFull() bool {
-	if e.alpha > 0 {
-		return float64(e.epochs)*e.alpha >= 1
-	}
-	return e.epochs >= e.window
-}
-
 // CloseEpoch folds the open epoch (events events long) into the estimate
 // and resets the epoch counters. Rates are refreshed.
 func (e *Estimator) CloseEpoch(events int) {

@@ -44,8 +44,8 @@ import (
 	"netplace/internal/workload"
 )
 
-// Config tunes a streaming engine. The zero value selects the documented
-// defaults (see DefaultConfig).
+// Config tunes a streaming engine. The zero value selects each field's
+// documented default.
 type Config struct {
 	// Epoch is the number of events per epoch: estimates refresh and
 	// re-placement runs once per Epoch observed events. 0 selects 256.
@@ -97,11 +97,6 @@ const (
 	DefaultWindow  = 4
 	DefaultPayback = 2.0
 )
-
-// DefaultConfig returns the evaluation defaults.
-func DefaultConfig() Config {
-	return Config{Epoch: DefaultEpoch, Window: DefaultWindow, Payback: DefaultPayback, MigrationFactor: 1}
-}
 
 // withDefaults resolves zero fields to their documented defaults and
 // clamps Alpha into [0, 1] (an EWMA weight above 1 extrapolates into

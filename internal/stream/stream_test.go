@@ -285,8 +285,8 @@ func TestEWMATracksDrift(t *testing.T) {
 			}
 		}
 	}
-	if !eng.est.WindowFull() {
-		t.Fatal("EWMA window not considered full after 3 epochs at alpha 0.5")
+	if got := eng.est.Epochs(); got != 3 {
+		t.Fatalf("%d epochs closed after 3 passes, want 3 (a full EWMA window at alpha 0.5)", got)
 	}
 	for pass := 0; pass < 6; pass++ {
 		for _, r := range mk(n - 1) {
